@@ -76,12 +76,7 @@ func timedSetup[T any](reps int, build func() (T, error), teardown func(T)) (T, 
 	return inst, median(times), nil
 }
 
-func ratio(num, den int64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return float64(num) / float64(den)
-}
+func ratio(num, den int64) float64 { return div(float64(num), float64(den)) }
 
 type metricDef struct {
 	name, unit string
@@ -273,7 +268,7 @@ func printReport(w workload, rep *report, traced bool) result {
 		}
 	}
 	if traced {
-		rep.layers["trace.overhead_share"] = 1 - tracedE2E["goodput_kbps"]/e2e["goodput_kbps"]
+		rep.layers["trace.overhead_share"] = 1 - div(tracedE2E["goodput_kbps"], e2e["goodput_kbps"])
 		fmt.Printf("per-layer (traced rerun of the same %d operations):\n", rep.traced.attempted)
 		for _, d := range layerDefs {
 			fmt.Printf("  %-38s %14.6g %-6s -> %s; flat on %s\n", d.name, rep.layers[d.name], d.unit, d.moves, d.bypass)

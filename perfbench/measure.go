@@ -73,6 +73,15 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
+// div is a/b, or 0 when nothing was counted in b (a run in which every
+// operation failed), so the result stays printable.
+func div(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}
+
 func median(xs []float64) float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
@@ -232,7 +241,7 @@ func (t *totals) endToEnd() map[string]float64 {
 			busyMs += c.latMs
 		}
 	}
-	perSec := float64(t.clients) * 1000 / busyMs
+	perSec := div(float64(t.clients)*1000, busyMs)
 	kbits := float64(bits) / 1000
 	lat := t.keptLatencies(keep)
 	return map[string]float64{
@@ -241,10 +250,10 @@ func (t *totals) endToEnd() map[string]float64 {
 		"latency_p50_ms":    quantile(lat, 0.50),
 		"latency_p90_ms":    quantile(lat, 0.90),
 		"latency_p99_ms":    quantile(lat, 0.99),
-		"rate_bits_per_sym": float64(t.bits) / float64(t.symbols),
-		"cpu_ms_per_kbit":   cpu.Seconds() * 1000 / kbits,
-		"allocs_per_msg":    float64(t.allocs) / float64(t.delivered),
-		"allocs_per_frame":  float64(t.allocs) / t.frames,
+		"rate_bits_per_sym": div(float64(t.bits), float64(t.symbols)),
+		"cpu_ms_per_kbit":   div(cpu.Seconds()*1000, kbits),
+		"allocs_per_msg":    div(float64(t.allocs), float64(t.delivered)),
+		"allocs_per_frame":  div(float64(t.allocs), t.frames),
 		"setup_s":           t.setupS,
 	}
 }
