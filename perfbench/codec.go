@@ -50,6 +50,7 @@ type codecOutcome struct {
 }
 
 type codecBench struct {
+	seed  uint64
 	codes map[int]*spinal.Code
 	msgs  []codecMsg
 }
@@ -77,10 +78,9 @@ func codecInputs(seed uint64) ([]codecMsg, error) {
 	return msgs, nil
 }
 
-// setupCodec builds the codes and inputs and runs one warm-up message per
-// code at 15 dB, so lazy set-up is paid before timing.
+// setupCodec builds the codes and inputs.
 func setupCodec(seed uint64) (*codecBench, error) {
-	b := &codecBench{codes: map[int]*spinal.Code{}}
+	b := &codecBench{seed: seed, codes: map[int]*spinal.Code{}}
 	for _, sc := range codecSizes {
 		code, err := spinal.NewCode(spinal.Config{MessageBits: sc.Bytes * 8})
 		if err != nil {
@@ -93,13 +93,19 @@ func setupCodec(seed uint64) (*codecBench, error) {
 		return nil, err
 	}
 	b.msgs = msgs
+	return b, nil
+}
+
+// warmUp runs one message per code at 15 dB, so lazy set-up is paid before
+// timing.
+func (b *codecBench) warmUp() error {
 	for bits, code := range b.codes {
-		warm := codecMsg{bits: bits, payload: spinal.RandomMessage(bits, seed), spec: "awgn(snr=15)", noise: 1}
+		warm := codecMsg{bits: bits, payload: spinal.RandomMessage(bits, b.seed), spec: "awgn(snr=15)", noise: 1}
 		if out, err := b.transmit(code, warm); err != nil || !out.ok {
-			return nil, fmt.Errorf("codec warm-up failed: %v", err)
+			return fmt.Errorf("codec warm-up failed: %v", err)
 		}
 	}
-	return b, nil
+	return nil
 }
 
 // transmit is one untraced TransmitOver call. The verifier is the genie
@@ -246,7 +252,10 @@ func (b *codecBench) transmitTraced(t *tracer, code *spinal.Code, m codecMsg, cn
 // the same messages through the traced core driver, which must reproduce
 // every message's outcome exactly.
 func runCodec(rc runConfig) (*report, error) {
-	b, setupS, err := timedSetup(rc.setupReps, func() (*codecBench, error) { return setupCodec(rc.seed) }, nil)
+	b, setupS, err := timedSetup(func() (*codecBench, error) { return setupCodec(rc.seed) }, nil)
+	if err == nil {
+		err = b.warmUp()
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -13,12 +13,14 @@ the ratio of the medians, the share of seed pairs the head wins, and a
 verdict by the rule of the choosing-metrics method:
 
   gain        head wins at least 9 in 10 pairs (ties count for neither) and
-              the medians differ by more than the base's interquartile range
-  worse       head's median is worse than base's by more than the metric's
-              bound from BENCHMARK.json, and base's own spread is within it
-  unresolved  the same, but base's spread is wider than the bound and not
-              every head run is worse than every base run
-  same        none of the above
+              its median is better than base's by more than the base's
+              interquartile range
+  unresolved  base's interquartile range, as a share of its median, is wider
+              than the metric's bound from BENCHMARK.json, and not every
+              head run is better than every base run
+  worse       base's spread is within the bound, and head's median is worse
+              than base's by more than the bound
+  same        none of the above: no worse than the bound allows
 
 Directions and bounds come from BENCHMARK.json next to this directory.
 """
@@ -90,12 +92,14 @@ def verdict(base, head, pairs, better, bound):
     sign = 1 if better == "higher" else -1
     wins = sum(1 for b, h in pairs if sign * (h - b) > 0)
     win_frac = wins / len(pairs) if pairs else 0.0
-    if pairs and win_frac >= 0.9 and abs(hm - bm) > (b3 - b1):
+    if pairs and win_frac >= 0.9 and sign * (hm - bm) > (b3 - b1):
         return "gain", win_frac
-    if bound is not None and bm != 0 and sign * (hm - bm) < -bound * abs(bm):
-        if (b3 - b1) / abs(bm) > bound:
-            all_worse = all(sign * (h - b) < 0 for h in head for b in base)
-            return ("worse" if all_worse else "unresolved"), win_frac
+    if bound is None or bm == 0:
+        return "same", win_frac
+    if (b3 - b1) / abs(bm) > bound:
+        all_better = all(sign * (h - b) > 0 for h in head for b in base)
+        return ("same" if all_better else "unresolved"), win_frac
+    if sign * (hm - bm) < -bound * abs(bm):
         return "worse", win_frac
     return "same", win_frac
 

@@ -23,12 +23,14 @@ const loopback = "127.0.0.1"
 // msgKey is the receiver's demux key (FlowID, MsgID).
 func msgKey(flow, msg uint32) uint64 { return uint64(flow)<<32 | uint64(msg) }
 
-// delivery is one packet the receiver handed back.
+// delivery is one packet the receiver handed back. It holds no pointers,
+// so the collector does not scan the map of every delivery of a run.
 type delivery struct {
-	payload []byte
+	intact  bool // the payload is exactly what was sent
+	bits    int
 	symbols int
 	nodes   int64
-	at      time.Time
+	at      time.Duration // when Receive returned it, since epoch
 }
 
 // rxSide is the receiving end the link and wire workloads share: one UDP
@@ -57,20 +59,26 @@ type rxSide struct {
 	final      link.EngineStats
 }
 
-func newRxSide(cfg link.Config, radio channel.SymbolChannel, t *tracer, expect func(flow, msg uint32) []byte) (*rxSide, error) {
+func newRxSide(cfg link.Config, rad radio, t *tracer, expect func(flow, msg uint32) []byte) (*rxSide, error) {
 	sock, err := link.NewUDP(loopback+":0", "")
 	if err != nil {
 		return nil, err
 	}
 	r := &rxSide{sock: sock, t: t, expect: expect, done: make(chan struct{}), got: map[uint64]delivery{}}
 	r.tr = sock
+	var ch channel.SymbolChannel // nil without an impairment
+	if rad != nil {
+		ch = rad
+	}
 	if t != nil {
-		r.tr, r.ttr = traceTransport(sock, t, kindSendAck, kindRecvData)
-		if radio != nil {
-			radio, r.tch = traceChannel(radio, t)
+		r.ttr = traceTransport(sock, t, kindSendAck, kindRecvData)
+		r.tr = r.ttr
+		if rad != nil {
+			r.tch = &tracedChannel{inner: rad, t: t}
+			ch = r.tch
 		}
 	}
-	r.recv, err = link.NewReceiver(r.tr, cfg, radio)
+	r.recv, err = link.NewReceiver(r.tr, cfg, ch)
 	if err != nil {
 		sock.Close()
 		return nil, err
@@ -135,13 +143,14 @@ func (r *rxSide) record(d *link.Delivered) {
 		return // at-least-once: a retransmission outlived the delivered state
 	}
 	want := r.expect(d.FlowID, d.MsgID)
+	dv := delivery{intact: want != nil && bytes.Equal(want, d.Payload), bits: 8 * len(d.Payload),
+		symbols: d.Symbols, at: time.Since(epoch)}
 	switch {
 	case want == nil:
 		r.unexpected++
-	case !bytes.Equal(want, d.Payload):
+	case !dv.intact:
 		r.wrong++
 	}
-	dv := delivery{payload: append([]byte(nil), d.Payload...), symbols: d.Symbols, at: time.Now()}
 	if r.t != nil {
 		dv.nodes = r.recv.FlowNodesExpanded(d.FlowID, d.MsgID)
 	}
@@ -220,8 +229,8 @@ func setupLink(seed uint64, t *tracer) (*linkBench, error) {
 		b.socks = append(b.socks, sock)
 		var tr link.Transport = sock
 		if t != nil {
-			var tt *tracedTransport
-			tr, tt = traceTransport(sock, t, kindSendData, kindRecvAck)
+			tt := traceTransport(sock, t, kindSendData, kindRecvAck)
+			tr = tt
 			b.tts = append(b.tts, tt)
 		}
 		// spinalsend's configuration.
@@ -232,20 +241,19 @@ func setupLink(seed uint64, t *tracer) (*linkBench, error) {
 		}
 		b.senders = append(b.senders, s)
 	}
-	// Warm-up: every flow sends its first message, so the decoder pool is
-	// warm before timing.
-	err = eachOf(linkFlows, func(f int) error {
+	return b, nil
+}
+
+// warmUp has every flow send its first message, so the decoder pool is
+// warm before timing.
+func (b *linkBench) warmUp() error {
+	return eachOf(linkFlows, func(f int) error {
 		rep, err := b.senders[f].Send(1, b.expect(uint32(f+1), 1))
 		if err == nil && !rep.Acked {
 			err = fmt.Errorf("link warm-up message of flow %d not acknowledged", f+1)
 		}
 		return err
 	})
-	if err != nil {
-		b.close()
-		return nil, err
-	}
-	return b, nil
 }
 
 // expect is the payload of message msg of a flow, or nil for one never
@@ -293,12 +301,12 @@ type sendLog struct {
 	symbols   int64
 	frames    int64
 	ignored   int64
-	returned  map[uint32]time.Time // when the sender learned of each ack (traced runs)
-	symbolsOf map[uint32]int       // symbols sent per acked message (traced runs)
+	returned  map[uint32]time.Duration // when the sender learned of each ack, since epoch (traced runs)
+	symbolsOf map[uint32]int           // symbols sent per acked message (traced runs)
 }
 
 func newSendLog() *sendLog {
-	return &sendLog{returned: map[uint32]time.Time{}, symbolsOf: map[uint32]int{}}
+	return &sendLog{returned: map[uint32]time.Duration{}, symbolsOf: map[uint32]int{}}
 }
 
 // stopAt reports whether a flow's closed loop is done: after the duration
@@ -349,7 +357,7 @@ func (b *linkBench) measure(tot *totals, seconds float64, count []int, t *tracer
 			lg.acked = append(lg.acked, id)
 			if t != nil {
 				lg.symbolsOf[id] = rep.SymbolsSent
-				lg.returned[id] = ret
+				lg.returned[id] = ret.Sub(epoch)
 			}
 		}
 		return nil
@@ -387,9 +395,9 @@ func settle(tot *totals, rx *rxSide, logs []*sendLog, warm int) error {
 				tot.failed++ // acknowledged but never handed to the application
 				continue
 			}
-			if bytes.Equal(dv.payload, rx.expect(uint32(f+1), id)) {
+			if dv.intact {
 				tot.delivered++
-				tot.bits += int64(len(dv.payload) * 8)
+				tot.bits += int64(dv.bits)
 			}
 		}
 	}
@@ -398,11 +406,10 @@ func settle(tot *totals, rx *rxSide, logs []*sendLog, warm int) error {
 }
 
 // deliveredSet lists the (flow, msg) keys delivered intact, sorted.
-func deliveredSet(rx *rxSide, expect func(flow, msg uint32) []byte) []uint64 {
+func deliveredSet(rx *rxSide) []uint64 {
 	var keys []uint64
 	for k, dv := range rx.got {
-		flow, msg := uint32(k>>32), uint32(k)
-		if bytes.Equal(dv.payload, expect(flow, msg)) {
+		if dv.intact {
 			keys = append(keys, k)
 		}
 	}
@@ -412,9 +419,9 @@ func deliveredSet(rx *rxSide, expect func(flow, msg uint32) []byte) []uint64 {
 
 // loadBench is a set-up link or wire workload: senders and a receiver.
 type loadBench interface {
+	warmUp() error
 	measure(tot *totals, seconds float64, count []int, t *tracer) ([]*sendLog, error)
 	receiver() *rxSide
-	expect(flow, msg uint32) []byte
 	close()
 }
 
@@ -428,9 +435,13 @@ func runLink(rc runConfig) (*report, error) {
 // reruns the same operations traced and checks the ingest path and the
 // delivered payload set.
 func runLoad(rc runConfig, name string, setup func(seed uint64, t *tracer) (loadBench, error)) (*report, error) {
-	b, setupS, err := timedSetup(rc.setupReps, func() (loadBench, error) { return setup(rc.seed, nil) },
+	b, setupS, err := timedSetup(func() (loadBench, error) { return setup(rc.seed, nil) },
 		func(b loadBench) { b.close() })
 	if err != nil {
+		return nil, err
+	}
+	if err := b.warmUp(); err != nil {
+		b.close()
 		return nil, err
 	}
 	rep := &report{}
@@ -439,7 +450,7 @@ func runLoad(rc runConfig, name string, setup func(seed uint64, t *tracer) (load
 		rep.fail("%s: receiver transport lost the batched packet ingest path", name)
 	}
 	logs, err := b.measure(&rep.e2e, rc.seconds, nil, nil)
-	untracedSet := deliveredSet(b.receiver(), b.expect)
+	untracedSet := deliveredSet(b.receiver())
 	b.close()
 	if err != nil {
 		return nil, err
@@ -454,13 +465,16 @@ func runLoad(rc runConfig, name string, setup func(seed uint64, t *tracer) (load
 		return nil, err
 	}
 	defer tb.close()
+	if err := tb.warmUp(); err != nil {
+		return nil, err
+	}
 	rep.traced = &totals{}
 	tlogs, err := tb.measure(rep.traced, 0, opsOf(logs), t)
 	if err != nil {
 		return nil, err
 	}
 	rep.tracer = t
-	checkTracedIngest(rep, name, tb.receiver(), untracedSet, deliveredSet(tb.receiver(), tb.expect))
+	checkTracedIngest(rep, name, tb.receiver(), untracedSet, deliveredSet(tb.receiver()))
 	rep.layers = linkLayers(t, tb.receiver(), tlogs)
 	return rep, nil
 }
@@ -474,6 +488,12 @@ func checkTracedIngest(rep *report, name string, rx *rxSide, untraced, traced []
 	}
 	if rx.ttr.plainRecvs != 0 {
 		rep.fail("%s: traced receiver made %d unbatched receive calls", name, rx.ttr.plainRecvs)
+	}
+	// Every wire burst resends the previous burst's frames, whose acks the
+	// receiver repeats inside Receive; finding none means the stack walk
+	// that nests them under the Receive span no longer recognises Receive.
+	if name == "wire" && rx.ttr.nestedAcks == 0 {
+		rep.fail("wire: no ack was found sent inside Receive")
 	}
 	if fmt.Sprint(untraced) != fmt.Sprint(traced) {
 		rep.fail("%s: traced run delivered %d payloads, untraced %d, or a different set",
@@ -529,7 +549,7 @@ func senderLayers(m map[string]float64, rx *rxSide, logs []*sendLog) {
 			}
 			msgs++
 			overshoot += int64(lg.symbolsOf[id] - dv.symbols)
-			lags = append(lags, float64(lg.returned[id].Sub(dv.at))/1e6)
+			lags = append(lags, float64(lg.returned[id]-dv.at)/1e6)
 		}
 	}
 	m["link.sender.frames_per_msg"] = ratio(frames, msgs)

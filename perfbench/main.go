@@ -26,11 +26,14 @@ import (
 )
 
 type runConfig struct {
-	seed      uint64
-	seconds   float64
-	trace     bool
-	setupReps int
+	seed    uint64
+	seconds float64
+	trace   bool
 }
+
+// setupReps is how many times a run sets its workload up; setup_s is the
+// median of their times.
+const setupReps = 9
 
 type workload struct {
 	name string
@@ -57,12 +60,15 @@ func (r *report) fail(format string, args ...any) {
 	r.failures = append(r.failures, fmt.Sprintf(format, args...))
 }
 
-// timedSetup builds a workload reps times, tearing down every instance but
-// the last, and returns the last with the median build time in seconds.
-func timedSetup[T any](reps int, build func() (T, error), teardown func(T)) (T, float64, error) {
+// timedSetup builds a workload setupReps times, tearing down every
+// instance but the last, and returns the last with the median build time in
+// seconds. The warm-up that follows is not timed: on link its time hangs on
+// whether an ack beats the sender's next frame, so the median over a run
+// fell on one of two modes 60% apart.
+func timedSetup[T any](build func() (T, error), teardown func(T)) (T, float64, error) {
 	var inst T
 	var times []float64
-	for i := 0; i < reps; i++ {
+	for i := 0; i < setupReps; i++ {
 		if i > 0 && teardown != nil {
 			teardown(inst)
 		}
@@ -178,10 +184,9 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed; the same seed gives the same inputs")
 	seconds := flag.Float64("seconds", 30, "how long the untraced run measures")
 	trace := flag.Int("trace", 0, "1 reruns the inputs traced and reports per-layer metrics")
-	setupReps := flag.Int("setup-reps", 9, "set-ups per run; setup_s is their median")
 	flag.Parse()
-	if *trace != 0 && *trace != 1 || *seconds <= 0 || *setupReps < 1 {
-		fmt.Fprintln(os.Stderr, "perfbench: -trace must be 0 or 1, -seconds and -setup-reps positive")
+	if *trace != 0 && *trace != 1 || *seconds <= 0 {
+		fmt.Fprintln(os.Stderr, "perfbench: -trace must be 0 or 1, -seconds positive")
 		os.Exit(2)
 	}
 	var run []workload
@@ -194,7 +199,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfbench: unknown workload %q (want codec, link, wire or all)\n", *name)
 		os.Exit(2)
 	}
-	rc := runConfig{seed: *seed, seconds: *seconds, trace: *trace == 1, setupReps: *setupReps}
+	rc := runConfig{seed: *seed, seconds: *seconds, trace: *trace == 1}
 	fmt.Printf("perfbench: %s/%s, GOMAXPROCS=%d, seed %d, %gs per run; link-layer traffic crosses the loopback interface, not a radio\n",
 		runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0), *seed, *seconds)
 

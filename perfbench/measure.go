@@ -12,6 +12,10 @@ import (
 	"time"
 )
 
+// epoch is the process's time origin for times kept in bulk, which are
+// stored as durations since it so that they hold no pointers.
+var epoch = time.Now()
+
 // usage is a resource snapshot: wall clock, the process's user+sys CPU
 // from getrusage, the runtime's cumulative heap-allocation count, and the
 // host's CPU time counters, of which steal is the time the hypervisor ran
@@ -89,12 +93,14 @@ func median(xs []float64) float64 {
 }
 
 // The measured run is cut into quarter-second slices, and the rate and
-// latency metrics come from the calmer half of them: the slices in which
-// the host stole the least CPU time. On a shared VM steal comes in episodes
-// of tens of seconds at 20-40%, and it slows every wall-clock metric by as
-// much or more whatever the program does; even inside an episode it drops
-// for a fraction of a second at a time, and the calmer half catches those.
-// Where the host counters cannot be read, every slice is kept.
+// latency metrics come from the calmer ones: the slices in which the host
+// stole no more CPU time than in the median slice. On a shared VM steal
+// comes in episodes of tens of seconds at 20-40%, and it slows every
+// wall-clock metric by as much or more whatever the program does; even
+// inside an episode it drops for a fraction of a second at a time, and the
+// calmer half catches those. Where steal is the same in every slice (bare
+// metal, a calm VM) or the host counters cannot be read, every slice is
+// kept.
 const slicePeriod = 250 * time.Millisecond
 
 // completion is one finished operation, booked into the slice it ends in.
@@ -176,20 +182,35 @@ func (t *totals) steal(j int) float64 {
 	return float64(b.hostSteal-a.hostSteal) / float64(b.hostTotal-a.hostTotal)
 }
 
-// calm returns which slices the metrics use: the half (rounded up) with
-// the least host steal, earlier slices first among equals.
-func (t *totals) calm() []bool {
+// calm returns which slices the metrics use, those whose steal is at most
+// the median slice's, and a note saying why.
+func (t *totals) calm() ([]bool, string) {
 	n := len(t.bounds) - 1
-	order := make([]int, n)
-	for j := range order {
-		order[j] = j
-	}
-	sort.SliceStable(order, func(a, b int) bool { return t.steal(order[a]) < t.steal(order[b]) })
 	keep := make([]bool, n)
-	for _, j := range order[:(n+1)/2] {
-		keep[j] = true
+	for _, b := range t.bounds {
+		if !b.hostTicked {
+			for j := range keep {
+				keep[j] = true
+			}
+			return keep, "host steal counters unreadable, every slice kept"
+		}
 	}
-	return keep
+	steals := make([]float64, n)
+	for j := range steals {
+		steals[j] = t.steal(j)
+	}
+	limit := median(steals)
+	kept := 0
+	for j, st := range steals {
+		if st <= limit {
+			keep[j] = true
+			kept++
+		}
+	}
+	if kept == n {
+		return keep, "host steal the same in every slice, every slice kept"
+	}
+	return keep, fmt.Sprintf("slices with more host steal than the median slice's %.1f%% dropped", 100*limit)
 }
 
 // slice is the index of the slice an operation finished in.
@@ -225,7 +246,7 @@ func (t *totals) keptLatencies(keep []bool) []float64 {
 // other.) CPU per kbit is the kept slices' CPU over the kbit delivered in
 // them; latencies are percentiles of the kept operations.
 func (t *totals) endToEnd() map[string]float64 {
-	keep := t.calm()
+	keep, _ := t.calm()
 	var cpu time.Duration
 	for j, k := range keep {
 		if k {
@@ -263,7 +284,7 @@ func (t *totals) endToEnd() map[string]float64 {
 // and how many samples lie beyond p90 and p99 (a percentile wants at least
 // ten beyond it).
 func (t *totals) tailNote() string {
-	keep := t.calm()
+	keep, why := t.calm()
 	var kept, keptSteal float64
 	for j, k := range keep {
 		if k {
@@ -278,9 +299,9 @@ func (t *totals) tailNote() string {
 	for q := 0.1; q < 1.05; q += 0.1 {
 		deciles = append(deciles, fmt.Sprintf("%.3g", quantile(lat, q)))
 	}
-	note := fmt.Sprintf("host steal %.1f%% over the run, %.1f%% over the %.0f of %d slices kept; "+
+	note := fmt.Sprintf("host steal %.1f%% over the run, %.1f%% over the %.0f of %d slices kept (%s); "+
 		"%d latency samples kept, deciles %s ms; beyond p90: %d, beyond p99: %d",
-		100*t.steal(-1), 100*keptSteal/kept, kept, len(keep), n, strings.Join(deciles, " "), beyond(0.90), beyond(0.99))
+		100*t.steal(-1), 100*keptSteal/kept, kept, len(keep), why, n, strings.Join(deciles, " "), beyond(0.90), beyond(0.99))
 	if beyond(0.99) < 10 {
 		note += " (p99 has fewer than 10 samples beyond it; read p90 as the supported tail)"
 	}

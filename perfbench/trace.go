@@ -2,6 +2,8 @@ package main
 
 import (
 	"net"
+	"reflect"
+	"runtime"
 	"sync"
 	"time"
 
@@ -137,14 +139,16 @@ func (t *tracer) get(l layer, k kind) spanStats {
 	return t.stats[l][k]
 }
 
-// tracedTransport times every link.Transport call. sendKind and recvKind
-// say which side of the link the wrapped socket serves. parent, when set,
-// points at the span the goroutine that receives through this transport
-// currently has open (the receiver's Receive span), so transport receive
-// spans nest under it; sends from other goroutines (acks from decode
-// workers) are never nested.
+// tracedTransport times every call into a UDP socket. It implements every
+// optional transport interface the socket does (link.BatchPacketTransport
+// and so the rest), because the link package type-asserts them to pick its
+// batched and per-peer paths: a wrapper that hid one would change what the
+// traced run measures. sendKind and recvKind say which side of the link the
+// socket serves. parent, when set, points at the span the goroutine that
+// owns the socket has open (a sender's Send span, a wire burst, the
+// receiver's Receive span), so the socket's spans nest under it.
 type tracedTransport struct {
-	inner    link.Transport
+	inner    *link.UDP
 	t        *tracer
 	sendKind kind
 	recvKind kind
@@ -152,20 +156,112 @@ type tracedTransport struct {
 	// plainRecvs counts receive calls that bypassed the batched packet
 	// ingest path; the benchmark requires it to stay zero on the receiver.
 	plainRecvs int64
+	// nestedAcks counts the receiver's acks sent inside Receive.
+	nestedAcks int64
+}
+
+var _ link.BatchPacketTransport = (*tracedTransport)(nil)
+
+func traceTransport(sock *link.UDP, t *tracer, sendKind, recvKind kind) *tracedTransport {
+	return &tracedTransport{inner: sock, t: t, sendKind: sendKind, recvKind: recvKind}
+}
+
+// receiveEntry is the entry address of link.Receiver.Receive.
+var receiveEntry = runtime.FuncForPC(reflect.ValueOf((*link.Receiver).Receive).Pointer()).Entry()
+
+// inReceive caches, per return address, whether it lies in
+// link.Receiver.Receive.
+var inReceive sync.Map
+
+// sendParent is the span a send on this socket nests under. The receiver
+// sends acks from its decode workers, concurrently with its Receive
+// goroutine, and repeats the ack of a duplicate frame synchronously inside
+// Receive; only the latter belong to the Receive span, and they are told
+// apart by whether Receive is on the calling goroutine's stack.
+func (w *tracedTransport) sendParent() *span {
+	if w.sendKind != kindSendAck || w.parent == nil {
+		return w.parent
+	}
+	var pcs [32]uintptr
+	for _, pc := range pcs[:runtime.Callers(3, pcs[:])] {
+		in, ok := inReceive.Load(pc)
+		if !ok {
+			f := runtime.FuncForPC(pc - 1)
+			in = f != nil && f.Entry() == receiveEntry
+			inReceive.Store(pc, in)
+		}
+		if in.(bool) {
+			w.nestedAcks++
+			return w.parent
+		}
+	}
+	return nil
+}
+
+func (w *tracedTransport) beginSend() span {
+	t0 := int64(time.Since(w.t.epoch))
+	p := w.sendParent()
+	s := w.t.begin(layerTransport, w.sendKind, p)
+	if p != nil {
+		// The stack walk is tracing cost, not the parent's self time.
+		p.child += s.start - t0
+	}
+	return s
+}
+
+func (w *tracedTransport) beginRecv(batched bool) span {
+	if !batched {
+		w.plainRecvs++
+	}
+	return w.t.begin(layerTransport, w.recvKind, w.parent)
 }
 
 func (w *tracedTransport) Send(frame []byte) error {
-	s := w.t.begin(layerTransport, w.sendKind, nil)
+	s := w.beginSend()
 	err := w.inner.Send(frame)
 	s.end(1)
 	return err
 }
 
+func (w *tracedTransport) SendTo(frame []byte, to net.Addr) error {
+	s := w.beginSend()
+	err := w.inner.SendTo(frame, to)
+	s.end(1)
+	return err
+}
+
+func (w *tracedTransport) SendBatch(frames [][]byte) (int, error) {
+	s := w.beginSend()
+	n, err := w.inner.SendBatch(frames)
+	s.end(n)
+	return n, err
+}
+
 func (w *tracedTransport) Receive(buf []byte, timeout time.Duration) (int, error) {
-	w.plainRecvs++
-	s := w.t.begin(layerTransport, w.recvKind, w.parent)
+	s := w.beginRecv(false)
 	n, err := w.inner.Receive(buf, timeout)
 	s.end(frameCount(err == nil))
+	return n, err
+}
+
+func (w *tracedTransport) ReceiveFrom(buf []byte, timeout time.Duration) (int, net.Addr, error) {
+	s := w.beginRecv(false)
+	n, from, err := w.inner.ReceiveFrom(buf, timeout)
+	s.end(frameCount(err == nil))
+	return n, from, err
+}
+
+func (w *tracedTransport) ReceiveBatch(bufs [][]byte, timeout time.Duration) (int, error) {
+	s := w.beginRecv(false)
+	n, err := w.inner.ReceiveBatch(bufs, timeout)
+	s.end(n)
+	return n, err
+}
+
+func (w *tracedTransport) ReceiveBatchFrom(bufs [][]byte, addrs []net.Addr, timeout time.Duration) (int, error) {
+	s := w.beginRecv(true)
+	n, err := w.inner.ReceiveBatchFrom(bufs, addrs, timeout)
+	s.end(n)
 	return n, err
 }
 
@@ -178,110 +274,17 @@ func frameCount(ok bool) int {
 	return 0
 }
 
-// The wrappers below add exactly the optional interfaces the inner
-// transport implements, because the link package type-asserts them to pick
-// its batched and per-peer paths: a wrapper that hid one would change what
-// the traced run measures.
-
-type tracedPacket struct {
-	*tracedTransport
-	pt link.PacketTransport
-}
-
-func (w *tracedPacket) ReceiveFrom(buf []byte, timeout time.Duration) (int, net.Addr, error) {
-	w.plainRecvs++
-	s := w.t.begin(layerTransport, w.recvKind, w.parent)
-	n, from, err := w.pt.ReceiveFrom(buf, timeout)
-	s.end(frameCount(err == nil))
-	return n, from, err
-}
-
-func (w *tracedPacket) SendTo(frame []byte, to net.Addr) error {
-	s := w.t.begin(layerTransport, w.sendKind, nil)
-	err := w.pt.SendTo(frame, to)
-	s.end(1)
-	return err
-}
-
-type tracedBatch struct {
-	*tracedTransport
-	bt link.BatchTransport
-}
-
-func (w *tracedBatch) ReceiveBatch(bufs [][]byte, timeout time.Duration) (int, error) {
-	return tracedReceiveBatch(w.tracedTransport, w.bt, bufs, timeout)
-}
-
-func (w *tracedBatch) SendBatch(frames [][]byte) (int, error) {
-	return tracedSendBatch(w.tracedTransport, w.bt, frames)
-}
-
-type tracedPacketBatch struct {
-	*tracedPacket
-	bt link.BatchTransport
-}
-
-func (w *tracedPacketBatch) ReceiveBatch(bufs [][]byte, timeout time.Duration) (int, error) {
-	return tracedReceiveBatch(w.tracedTransport, w.bt, bufs, timeout)
-}
-
-func (w *tracedPacketBatch) SendBatch(frames [][]byte) (int, error) {
-	return tracedSendBatch(w.tracedTransport, w.bt, frames)
-}
-
-type tracedBatchPacket struct {
-	*tracedPacketBatch
-	bpt link.BatchPacketTransport
-}
-
-func (w *tracedBatchPacket) ReceiveBatchFrom(bufs [][]byte, addrs []net.Addr, timeout time.Duration) (int, error) {
-	s := w.t.begin(layerTransport, w.recvKind, w.parent)
-	n, err := w.bpt.ReceiveBatchFrom(bufs, addrs, timeout)
-	s.end(n)
-	return n, err
-}
-
-func tracedReceiveBatch(w *tracedTransport, bt link.BatchTransport, bufs [][]byte, timeout time.Duration) (int, error) {
-	w.plainRecvs++
-	s := w.t.begin(layerTransport, w.recvKind, w.parent)
-	n, err := bt.ReceiveBatch(bufs, timeout)
-	s.end(n)
-	return n, err
-}
-
-func tracedSendBatch(w *tracedTransport, bt link.BatchTransport, frames [][]byte) (int, error) {
-	s := w.t.begin(layerTransport, w.sendKind, nil)
-	n, err := bt.SendBatch(frames)
-	s.end(n)
-	return n, err
-}
-
-// traceTransport wraps inner so every call is timed, preserving inner's
-// optional interfaces. It returns the wrapper and its shared core, through
-// which the caller sets the receive-side parent span.
-func traceTransport(inner link.Transport, t *tracer, sendKind, recvKind kind) (link.Transport, *tracedTransport) {
-	base := &tracedTransport{inner: inner, t: t, sendKind: sendKind, recvKind: recvKind}
-	pt, isPkt := inner.(link.PacketTransport)
-	bt, isBatch := inner.(link.BatchTransport)
-	bpt, isBatchPkt := inner.(link.BatchPacketTransport)
-	switch {
-	case isBatchPkt:
-		return &tracedBatchPacket{&tracedPacketBatch{&tracedPacket{base, pt}, bt}, bpt}, base
-	case isPkt && isBatch:
-		return &tracedPacketBatch{&tracedPacket{base, pt}, bt}, base
-	case isPkt:
-		return &tracedPacket{base, pt}, base
-	case isBatch:
-		return &tracedBatch{base, bt}, base
-	default:
-		return base, base
-	}
+// radio is a receiver impairment with the block fast path the receiver
+// type-asserts, as channel.QuantizedAWGN has.
+type radio interface {
+	channel.SymbolChannel
+	channel.BlockChannel
 }
 
 // tracedChannel times a receiver impairment. parent points at the span of
 // the goroutine that runs the impairment (the receiver's Receive span).
 type tracedChannel struct {
-	inner  channel.SymbolChannel
+	inner  radio
 	t      *tracer
 	parent *span
 }
@@ -293,23 +296,8 @@ func (c *tracedChannel) Corrupt(x complex128) complex128 {
 	return y
 }
 
-type tracedBlockChannel struct {
-	*tracedChannel
-	blk channel.BlockChannel
-}
-
-func (c *tracedBlockChannel) CorruptBlock(dst, src []complex128) {
+func (c *tracedChannel) CorruptBlock(dst, src []complex128) {
 	s := c.t.begin(layerImpair, kindCall, c.parent)
-	c.blk.CorruptBlock(dst, src)
+	c.inner.CorruptBlock(dst, src)
 	s.end(len(src))
-}
-
-// traceChannel wraps a receiver impairment, keeping its BlockChannel fast
-// path when it has one.
-func traceChannel(inner channel.SymbolChannel, t *tracer) (channel.SymbolChannel, *tracedChannel) {
-	base := &tracedChannel{inner: inner, t: t}
-	if blk, ok := inner.(channel.BlockChannel); ok {
-		return &tracedBlockChannel{base, blk}, base
-	}
-	return base, base
 }

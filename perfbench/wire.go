@@ -117,8 +117,8 @@ func setupWire(seed uint64, t *tracer) (*wireBench, error) {
 		b.socks = append(b.socks, sock)
 		var tr link.Transport = sock
 		if t != nil {
-			var tt *tracedTransport
-			tr, tt = traceTransport(sock, t, kindSendData, kindRecvAck)
+			tt := traceTransport(sock, t, kindSendData, kindRecvAck)
+			tr = tt
 			b.tts = append(b.tts, tt)
 		}
 		bt, ok := tr.(link.BatchTransport)
@@ -128,16 +128,15 @@ func setupWire(seed uint64, t *tracer) (*wireBench, error) {
 		}
 		b.trs = append(b.trs, bt)
 	}
-	// Warm-up: one burst per flow (message ids 1..wireBurst), so the
-	// decoder pool and the arenas are warm before timing.
-	err = eachOf(wireFlows, func(f int) error {
+	return b, nil
+}
+
+// warmUp sends one burst per flow (message ids 1..wireBurst), so the
+// decoder pool and the arenas are warm before timing.
+func (b *wireBench) warmUp() error {
+	return eachOf(wireFlows, func(f int) error {
 		return b.burst(f, 1, newWireLog(), nil, nil)
 	})
-	if err != nil {
-		b.close()
-		return nil, err
-	}
-	return b, nil
 }
 
 func (b *wireBench) close() {
@@ -265,7 +264,7 @@ func (b *wireBench) burst(f int, first uint32, lg *wireLog, t *tracer, bs *span)
 		pending--
 		lg.acked = append(lg.acked, v.MsgID)
 		if t != nil {
-			lg.returned[v.MsgID] = time.Now()
+			lg.returned[v.MsgID] = time.Since(epoch)
 		}
 	}
 	return nil
