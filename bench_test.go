@@ -347,71 +347,82 @@ func BenchmarkDecodeSymbolsPerSec(b *testing.B) {
 	}
 }
 
-// BenchmarkApproxDecode measures the approximate search modes against the
-// exact beam search on the same observations: a full from-scratch decode at
-// the mid-SNR operating point, per (search mode, beam width). The nodes/s
-// metric shows the work rate; the headline is symbols/s, where gap pruning
-// and lookahead narrowing buy their throughput by expanding fewer children
-// per level. CI's bench-smoke job diffs this benchmark against the committed
+// BenchmarkApproxDecode measures the approximate search against the exact
+// beam search on the same observations: a full from-scratch decode at the
+// 0 dB operating point, per (schedule, search mode, beam width). Two
+// observation sets cover the two narrowings: sched=sequential holds four
+// full passes, so every level is observed and only lookahead narrowing
+// runs; sched=striped holds the first three quarters of one striped pass,
+// so a quarter of the levels are unobserved and bubble narrowing runs too.
+// The nodes/s metric shows the work rate; the headline is symbols/s, where
+// approx buys its throughput by expanding fewer children per level. CI's
+// bench-smoke job diffs this benchmark against the committed
 // BENCH_baseline.json with benchstat.
 func BenchmarkApproxDecode(b *testing.B) {
 	params := core.Params{K: 8, C: 10, MessageBits: 128, Seed: core.DefaultSeed}
+	nseg := params.NumSegments()
 	msg := core.RandomMessage(rng.New(41), params.MessageBits)
 	enc, err := core.NewEncoder(params, msg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	radio, err := channel.NewQuantizedAWGN(0, 14, rng.New(43))
+	sequential, err := core.NewSequentialSchedule(nseg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched, err := core.NewSequentialSchedule(params.NumSegments())
+	striped, err := core.NewStripedSchedule(nseg, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	obs, err := core.NewObservations(params.NumSegments())
-	if err != nil {
-		b.Fatal(err)
-	}
-	const passes = 4
-	nSymbols := passes * params.NumSegments()
-	for i := 0; i < nSymbols; i++ {
-		pos := sched.Pos(i)
-		if err := obs.Add(pos, radio.Corrupt(enc.SymbolAt(pos))); err != nil {
+	for _, set := range []struct {
+		name     string
+		sched    core.Schedule
+		nSymbols int
+	}{
+		{"sequential", sequential, 4 * nseg},
+		{"striped", striped, 3 * nseg / 4},
+	} {
+		radio, err := channel.NewQuantizedAWGN(0, 14, rng.New(43))
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	for _, search := range []string{"exact", "gap", "lookahead", "approx"} {
-		for _, beam := range []int{32, 64} {
-			search, beam := search, beam
-			b.Run(fmt.Sprintf("search=%s/B=%d", search, beam), func(b *testing.B) {
-				sc, err := core.ParseSearchConfig(search)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dec, err := core.NewBeamDecoder(params, beam)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer dec.Close()
-				if err := dec.SetSearchConfig(sc); err != nil {
-					b.Fatal(err)
-				}
-				dec.SetParallelism(1)
-				dec.SetIncremental(false)
-				var nodes int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					out, derr := dec.Decode(obs)
-					if derr != nil {
-						b.Fatal(derr)
+		obs, err := core.NewObservations(nseg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < set.nSymbols; i++ {
+			pos := set.sched.Pos(i)
+			if err := obs.Add(pos, radio.Corrupt(enc.SymbolAt(pos))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, search := range []core.SearchConfig{{}, {Mode: core.SearchApprox}} {
+			for _, beam := range []int{32, 64} {
+				b.Run(fmt.Sprintf("sched=%s/search=%s/B=%d", set.name, search, beam), func(b *testing.B) {
+					dec, err := core.NewBeamDecoder(params, beam)
+					if err != nil {
+						b.Fatal(err)
 					}
-					nodes += int64(out.NodesExpanded)
-				}
-				b.ReportMetric(float64(b.N)*float64(nSymbols)/b.Elapsed().Seconds(), "symbols/s")
-				b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
-			})
+					defer dec.Close()
+					if err := dec.SetSearchConfig(search); err != nil {
+						b.Fatal(err)
+					}
+					dec.SetParallelism(1)
+					dec.SetIncremental(false)
+					var nodes int64
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						out, derr := dec.Decode(obs)
+						if derr != nil {
+							b.Fatal(derr)
+						}
+						nodes += int64(out.NodesExpanded)
+					}
+					b.ReportMetric(float64(b.N)*float64(set.nSymbols)/b.Elapsed().Seconds(), "symbols/s")
+					b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
+				})
+			}
 		}
 	}
 }

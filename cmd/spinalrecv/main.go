@@ -64,9 +64,7 @@ func main() {
 	metric := flag.String("metric", "",
 		"decoder cost metric: float64|int32 (empty = float64)")
 	search := flag.String("search", "",
-		"decoder search strategy: exact|gap[:G]|lookahead[:M]|approx (empty = exact)")
-	adaptive := flag.Bool("adaptive-search", false,
-		"pick each flow's search strategy from its decode-budget pressure (requires -budget); -search sets the unpressured base")
+		"decoder search strategy: exact|approx (empty = exact); approx narrows the beam search for fewer expanded nodes")
 	impairSpec := flag.String("impair", "",
 		"impairment-pipeline spec replacing the AWGN radio, e.g. \"ge(good=16,bad=3)|spike(prob=0.02)|erase(p=0.01)\" or its JSON form")
 	faultSpec := flag.String("fault", "",
@@ -75,7 +73,7 @@ func main() {
 
 	if err := serve(*listen, *snr, *adc, *beam, *workers, *decWorkers, *count, *seed,
 		*maxFlows, *maxTracked, *pool, *ingestShards, *ingestBatch, *idleExpiry, *budget, *stats,
-		*metric, *search, *adaptive, *impairSpec, *faultSpec); err != nil {
+		*metric, *search, *impairSpec, *faultSpec); err != nil {
 		fmt.Fprintln(os.Stderr, "spinalrecv:", err)
 		os.Exit(1)
 	}
@@ -84,7 +82,7 @@ func main() {
 func serve(listen string, snr float64, adc, beam, workers, decWorkers, count int, seed uint64,
 	maxFlows, maxTracked, pool, ingestShards, ingestBatch int,
 	idleExpiry time.Duration, budget int64, statsEvery time.Duration,
-	metric, search string, adaptive bool, impairSpec, faultSpec string) error {
+	metric, search, impairSpec, faultSpec string) error {
 	costMetric, err := core.ParseCostMetric(metric)
 	if err != nil {
 		return err
@@ -162,7 +160,6 @@ func serve(listen string, snr float64, adc, beam, workers, decWorkers, count int
 		FlowDecodeBudget:   budget,
 		CostMetric:         costMetric,
 		Search:             searchCfg,
-		AdaptiveSearch:     adaptive,
 	}, radio)
 	if err != nil {
 		return err
@@ -208,10 +205,6 @@ func serve(listen string, snr float64, adc, beam, workers, decWorkers, count int
 	stats := recv.PoolStats()
 	fmt.Printf("spinalrecv: served %d packets across %d tracked flows (decoder pool: %d hits, %d misses, %d shed flows)\n",
 		delivered, recv.TrackedFlows(), stats.Hits, stats.Misses, recv.ShedFlows())
-	if es := recv.EngineStats(); es.NodesSaved > 0 || len(es.SearchAttempts) > 0 {
-		fmt.Printf("spinalrecv: search attempts by mode %v, ~%d tree expansions saved by approximate search\n",
-			es.SearchAttempts, es.NodesSaved)
-	}
 	return nil
 }
 

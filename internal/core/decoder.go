@@ -60,8 +60,8 @@ type BeamDecoder struct {
 	incremental bool
 	workers     int
 	metric      CostMetric
-	// search is the normalized approximate-search strategy (see search.go);
-	// the zero value is the exact search.
+	// search is the tree-search strategy (see search.go); the zero value is
+	// the exact search.
 	search SearchConfig
 	// quantTab is dimTab snapped onto the int32 metric's fixed-point grid,
 	// built lazily the first time the quantized metric is selected.
@@ -69,7 +69,6 @@ type BeamDecoder struct {
 
 	nodesExpanded  int
 	nodesRefreshed int
-	nodesSaved     int
 
 	// engF/engI are the per-metric search engines; engF always exists, engI
 	// is created the first time the int32 metric is selected. They share the
@@ -246,14 +245,6 @@ func (d *BeamDecoder) NodesExpanded() int { return d.nodesExpanded }
 // folded.
 func (d *BeamDecoder) NodesRefreshed() int { return d.nodesRefreshed }
 
-// NodesSaved reports the estimated number of child expansions the most
-// recent Decode call avoided through approximate search: each frontier node
-// dropped by gap pruning or lookahead narrowing would have spawned a full
-// block of children at the next level, and each node pruned by a prefix
-// commit would have kept being refreshed on later attempts. Always zero
-// under the exact search.
-func (d *BeamDecoder) NodesSaved() int { return d.nodesSaved }
-
 // DecodeResult is the outcome of one decode attempt.
 type DecodeResult struct {
 	// Message is the most likely message found, packed LSB-first.
@@ -268,9 +259,6 @@ type DecodeResult struct {
 	// NodesRefreshed is the number of cached nodes reused from the previous
 	// attempt with an in-place cost update.
 	NodesRefreshed int
-	// NodesSaved is the estimated number of child expansions avoided by
-	// approximate search (see BeamDecoder.NodesSaved); zero in exact mode.
-	NodesSaved int
 }
 
 // Decode runs the beam search against AWGN-channel observations and returns
@@ -353,10 +341,6 @@ type awgnCoster struct {
 
 func (c *awgnCoster) numObs(level int) int { return len(c.obs.spines[level]) }
 
-// unitCost: path costs are squared Euclidean distances, already in the exact
-// metric's natural unit.
-func (c *awgnCoster) unitCost() float64 { return 1 }
-
 func (c *awgnCoster) prepareLevel(level int) {
 	obs := c.obs.spines[level]
 	n := len(obs)
@@ -375,11 +359,11 @@ func (c *awgnCoster) prepareLevel(level int) {
 func (c *awgnCoster) costTail(local float64, spine uint64, level, from int) float64 {
 	loc := [1]float64{local}
 	sp := [1]uint64{spine}
-	c.costTailMany(loc[:], sp[:], level, from)
+	c.costTailMany(loc[:], sp[:], level, from, nil)
 	return loc[0]
 }
 
-func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from int) {
+func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from int, _ *foldScratch) {
 	n := len(c.starts)
 	if from >= n {
 		if from == 0 {
@@ -482,16 +466,9 @@ type awgnQuantCoster struct {
 	// differences are at most 2*costQuantMax = 2^16-2, squared below 2^32.
 	dI2 []uint32
 	dQ2 []uint32
-	// words/acc are batch scratch for the interchanged fold.
-	words []uint64
-	acc   []int64
 }
 
 func (c *awgnQuantCoster) numObs(level int) int { return len(c.obs.spines[level]) }
-
-// unitCost: quantized squared distances count in grid² steps, so one unit of
-// exact squared Euclidean distance is costQuantScale² carrier units.
-func (c *awgnQuantCoster) unitCost() float64 { return costQuantScale * costQuantScale }
 
 func (c *awgnQuantCoster) prepareLevel(level int) {
 	obs := c.obs.spines[level]
@@ -521,7 +498,9 @@ func (c *awgnQuantCoster) prepareLevel(level int) {
 // even when a refresh folds a whole cached level at once.
 const quantFoldChunk = 1024
 
-func (c *awgnQuantCoster) costTailMany(locals []int32, spines []uint64, level, from int) {
+// costTailMany folds through the caller's batch scratch: the coster itself
+// is shared by every shard of a parallel level, so it holds none.
+func (c *awgnQuantCoster) costTailMany(locals []int32, spines []uint64, level, from int, fold *foldScratch) {
 	n := len(c.starts)
 	if from >= n {
 		if from == 0 {
@@ -530,14 +509,14 @@ func (c *awgnQuantCoster) costTailMany(locals []int32, spines []uint64, level, f
 		return
 	}
 	for len(spines) > quantFoldChunk {
-		c.costChunk(locals[:quantFoldChunk], spines[:quantFoldChunk], from)
+		c.costChunk(locals[:quantFoldChunk], spines[:quantFoldChunk], from, fold)
 		locals = locals[quantFoldChunk:]
 		spines = spines[quantFoldChunk:]
 	}
-	c.costChunk(locals, spines, from)
+	c.costChunk(locals, spines, from, fold)
 }
 
-func (c *awgnQuantCoster) costChunk(locals []int32, spines []uint64, from int) {
+func (c *awgnQuantCoster) costChunk(locals []int32, spines []uint64, from int, fold *foldScratch) {
 	n := len(c.starts)
 	cc := uint(c.d.p.C)
 	dim := 1 << cc
@@ -546,10 +525,10 @@ func (c *awgnQuantCoster) costChunk(locals []int32, spines []uint64, from int) {
 	wmask := uint32(uint64(1)<<width - 1)
 	fam := c.d.family
 	m := len(spines)
-	c.words = sized(c.words, m)
-	c.acc = sized(c.acc, m)
-	words := c.words[:m]
-	acc := c.acc[:m:m]
+	fold.words = sized(fold.words, m)
+	fold.acc = sized(fold.acc, m)
+	words := fold.words[:m]
+	acc := fold.acc[:m:m]
 	if from == 0 {
 		clear(acc)
 	} else {
@@ -612,12 +591,9 @@ type bscCoster struct {
 
 func (c *bscCoster) numObs(level int) int { return len(c.obs.spines[level]) }
 
-// unitCost: Hamming costs count bit flips directly.
-func (c *bscCoster) unitCost() float64 { return 1 }
-
 func (c *bscCoster) prepareLevel(level int) {}
 
-func (c *bscCoster) costTailMany(locals []float64, spines []uint64, level, from int) {
+func (c *bscCoster) costTailMany(locals []float64, spines []uint64, level, from int, _ *foldScratch) {
 	obs := c.obs.spines[level]
 	if from >= len(obs) {
 		if from == 0 {
@@ -660,12 +636,9 @@ type bscQuantCoster struct {
 
 func (c *bscQuantCoster) numObs(level int) int { return len(c.obs.spines[level]) }
 
-// unitCost: the int32 Hamming metric counts bit flips directly (no grid).
-func (c *bscQuantCoster) unitCost() float64 { return 1 }
-
 func (c *bscQuantCoster) prepareLevel(level int) {}
 
-func (c *bscQuantCoster) costTailMany(locals []int32, spines []uint64, level, from int) {
+func (c *bscQuantCoster) costTailMany(locals []int32, spines []uint64, level, from int, _ *foldScratch) {
 	obs := c.obs.spines[level]
 	if from >= len(obs) {
 		if from == 0 {

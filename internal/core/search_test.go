@@ -2,23 +2,19 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"spinal/internal/rng"
 )
 
-// approxTestModes returns the non-exact search configs the tests sweep, in
-// increasing aggressiveness.
-func approxTestModes() []SearchConfig {
-	return []SearchConfig{
-		{Mode: SearchGap},
-		{Mode: SearchLookahead},
-		{Mode: SearchApprox},
-	}
-}
+// approxSearch is the approximate search config the tests exercise.
+var approxSearch = SearchConfig{Mode: SearchApprox}
 
-// TestParseSearchConfig checks the CLI spellings, their round-trip through
-// String, and the rejection of malformed inputs.
+// TestParseSearchConfig checks the two CLI spellings, their round-trip
+// through String, and that every other spelling — including the retired
+// gap/lookahead modes and their ":arg" forms — is rejected with an error
+// that names the valid modes.
 func TestParseSearchConfig(t *testing.T) {
 	good := []struct {
 		in   string
@@ -26,11 +22,7 @@ func TestParseSearchConfig(t *testing.T) {
 	}{
 		{"", SearchConfig{}},
 		{"exact", SearchConfig{}},
-		{"gap", SearchConfig{Mode: SearchGap}},
-		{"gap:2.5", SearchConfig{Mode: SearchGap, CostGap: 2.5, PerLevel: true}},
-		{"lookahead", SearchConfig{Mode: SearchLookahead}},
-		{"lookahead:6", SearchConfig{Mode: SearchLookahead, ExpandTop: 6}},
-		{"approx", SearchConfig{Mode: SearchApprox}},
+		{"approx", approxSearch},
 	}
 	for _, tc := range good {
 		got, err := ParseSearchConfig(tc.in)
@@ -42,69 +34,169 @@ func TestParseSearchConfig(t *testing.T) {
 			t.Errorf("ParseSearchConfig(%q) = %+v, want %+v", tc.in, got, tc.want)
 			continue
 		}
-		if tc.in == "" {
-			continue
-		}
-		back, err := ParseSearchConfig(got.String())
-		if err != nil || back != got {
+		if back, err := ParseSearchConfig(got.String()); err != nil || back != got {
 			t.Errorf("round trip of %q through %q: %+v, %v", tc.in, got.String(), back, err)
 		}
 	}
-	for _, bad := range []string{"fuzzy", "gap:", "gap:-1", "gap:x", "lookahead:0", "lookahead:q", "approx:3", "exact:1"} {
-		if _, err := ParseSearchConfig(bad); err == nil {
+	for _, bad := range []string{"fuzzy", "gap", "gap:2", "lookahead", "lookahead:6", "approx:3", "exact:1", "Approx"} {
+		_, err := ParseSearchConfig(bad)
+		if err == nil {
 			t.Errorf("ParseSearchConfig(%q) unexpectedly succeeded", bad)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "exact") || !strings.Contains(msg, "approx") {
+			t.Errorf("ParseSearchConfig(%q) error %q does not name the valid modes", bad, msg)
 		}
 	}
 }
 
-// TestSetSearchConfigNormalizes checks that installed configs resolve their
-// zero refinements against the beam width and that exact resets cleanly.
+// TestSetSearchConfigNormalizes checks that SetSearchConfig installs both
+// modes, that exact resets to the zero config, and that an unknown mode is
+// rejected without changing the installed strategy.
 func TestSetSearchConfigNormalizes(t *testing.T) {
 	dec, err := NewBeamDecoder(exactPinParams(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dec.Close()
-	if err := dec.SetSearchConfig(SearchConfig{Mode: SearchApprox}); err != nil {
+	if err := dec.SetSearchConfig(approxSearch); err != nil {
 		t.Fatal(err)
 	}
-	got := dec.SearchConfig()
-	if got.ExpandTop != 8 || got.CostGap != DefaultCostGap || !got.PerLevel || got.CommitLevels != DefaultCommitLevels {
-		t.Fatalf("normalized approx config = %+v", got)
+	if got := dec.SearchConfig(); got != approxSearch {
+		t.Fatalf("installed approx, got %+v", got)
 	}
-	if err := dec.SetSearchConfig(SearchConfig{Mode: SearchLookahead, ExpandTop: 99}); err != nil {
-		t.Fatal(err)
+	if err := dec.SetSearchConfig(SearchConfig{Mode: SearchMode(9)}); err == nil {
+		t.Fatal("unknown mode accepted")
 	}
-	if got := dec.SearchConfig(); got.ExpandTop != 16 {
-		t.Fatalf("ExpandTop not clamped to the beam width: %+v", got)
+	if got := dec.SearchConfig(); got != approxSearch {
+		t.Fatalf("rejected mode changed the installed config to %+v", got)
 	}
 	if err := dec.SetSearchConfig(SearchConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := dec.SearchConfig(); got != (SearchConfig{}) {
-		t.Fatalf("exact did not normalize to the zero config: %+v", got)
-	}
-	if err := dec.SetSearchConfig(SearchConfig{Mode: SearchMode(9)}); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-	if err := dec.SetSearchConfig(SearchConfig{Mode: SearchGap, CostGap: -2}); err == nil {
-		t.Fatal("negative gap accepted")
+		t.Fatalf("exact did not reset to the zero config: %+v", got)
 	}
 }
 
-// TestApproxModesRoundTripNoiseless checks the fundamental contract under
-// every approximate mode: two noiseless passes still decode exactly. The
-// true path has zero cost at every level, so no gap can prune it and no
-// lookahead ranking can demote it.
+// TestApproxNarrowingWidths pins the two derived widths of the approximate
+// search: lookahead keeps M = max(2, B/2) nodes (never more than B) and the
+// bubble keeps the children of W = max(2, B/8) parents.
+func TestApproxNarrowingWidths(t *testing.T) {
+	for _, tc := range []struct{ b, m, w int }{
+		{1, 1, 2}, {2, 2, 2}, {4, 2, 2}, {16, 8, 2}, {32, 16, 4}, {64, 32, 8}, {100, 50, 12},
+	} {
+		if got := expandTop(tc.b); got != tc.m {
+			t.Errorf("expandTop(%d) = %d, want %d", tc.b, got, tc.m)
+		}
+		if got := bubbleParents(tc.b); got != tc.w {
+			t.Errorf("bubbleParents(%d) = %d, want %d", tc.b, got, tc.w)
+		}
+	}
+}
+
+// TestDecodeWithUnobservedMiddleLevel checks that a decode can succeed
+// while a level has no observations at all: the deeper levels' symbols
+// depend on the unobserved segment through the spine hash chain, so they
+// pin it down. This is why bubble narrowing is an approximation and not a
+// free cut — the decode does not wait for the level's own symbols, so
+// narrowing it can drop the true path. Noiselessly the true parent is the
+// cheapest, so the bubble keeps it and both modes recover the message.
+func TestDecodeWithUnobservedMiddleLevel(t *testing.T) {
+	p := exactPinParams()
+	hole := p.NumSegments() / 2
+	for _, search := range []SearchConfig{{}, approxSearch} {
+		msg, _ := awgnPinStream(t, 3)
+		enc, err := NewEncoder(p, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := NewBeamDecoder(p, exactPinBeam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.SetSearchConfig(search); err != nil {
+			t.Fatal(err)
+		}
+		obs, err := NewObservations(p.NumSegments())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for s := 0; s < p.NumSegments(); s++ {
+				if s == hole {
+					continue
+				}
+				if err := obs.Add(SymbolPos{Spine: s, Pass: pass}, enc.Symbol(s, pass)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		out, err := dec.Decode(obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !EqualMessages(out.Message, msg, p.MessageBits) {
+			t.Errorf("mode %v: message with unobserved level %d did not decode", search, hole)
+		}
+		dec.Close()
+	}
+}
+
+// TestApproxModesRoundTripNoiseless checks the fundamental contract of the
+// approximate search under both cost metrics: two noiseless passes still
+// decode exactly. The true path has zero cost at every level, so the
+// lookahead ranking, which keeps the cheapest half by path cost, cannot
+// demote it.
 func TestApproxModesRoundTripNoiseless(t *testing.T) {
 	p := exactPinParams()
-	for _, mode := range approxTestModes() {
-		for _, metric := range []CostMetric{CostFloat64, CostInt32} {
-			msg, _ := awgnPinStream(t, 0)
-			enc, err := NewEncoder(p, msg)
+	for _, metric := range []CostMetric{CostFloat64, CostInt32} {
+		msg, _ := awgnPinStream(t, 0)
+		enc, err := NewEncoder(p, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := NewBeamDecoder(p, exactPinBeam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.SetCostMetric(metric); err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.SetSearchConfig(approxSearch); err != nil {
+			t.Fatal(err)
+		}
+		obs, err := NewObservations(p.NumSegments())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for s := 0; s < p.NumSegments(); s++ {
+				if err := obs.Add(SymbolPos{Spine: s, Pass: pass}, enc.Symbol(s, pass)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out, err := dec.Decode(obs)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if pass == 1 && !EqualMessages(out.Message, msg, p.MessageBits) {
+				t.Errorf("metric %v: noiseless round trip failed", metric)
+			}
+		}
+		dec.Close()
+	}
+}
+
+// TestApproxDeterministicAcrossWorkers checks that approximate decodes, like
+// exact ones, are bit-identical at every worker count under both cost
+// metrics: all narrowing happens in the single-threaded post-selection
+// section, and the sharded cost folds share no scratch.
+func TestApproxDeterministicAcrossWorkers(t *testing.T) {
+	p := exactPinParams()
+	for _, metric := range []CostMetric{CostFloat64, CostInt32} {
+		var ref []string
+		for _, workers := range exactPinWorkers() {
 			dec, err := NewBeamDecoder(p, exactPinBeam)
 			if err != nil {
 				t.Fatal(err)
@@ -112,45 +204,7 @@ func TestApproxModesRoundTripNoiseless(t *testing.T) {
 			if err := dec.SetCostMetric(metric); err != nil {
 				t.Fatal(err)
 			}
-			if err := dec.SetSearchConfig(mode); err != nil {
-				t.Fatal(err)
-			}
-			obs, err := NewObservations(p.NumSegments())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for pass := 0; pass < 2; pass++ {
-				for s := 0; s < p.NumSegments(); s++ {
-					if err := obs.Add(SymbolPos{Spine: s, Pass: pass}, enc.Symbol(s, pass)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				out, err := dec.Decode(obs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if pass == 1 && !EqualMessages(out.Message, msg, p.MessageBits) {
-					t.Errorf("mode %v metric %v: noiseless round trip failed", mode, metric)
-				}
-			}
-			dec.Close()
-		}
-	}
-}
-
-// TestApproxDeterministicAcrossWorkers checks that approximate decodes, like
-// exact ones, are bit-identical at every worker count: all narrowing happens
-// in the single-threaded post-selection section.
-func TestApproxDeterministicAcrossWorkers(t *testing.T) {
-	p := exactPinParams()
-	for _, mode := range approxTestModes() {
-		var ref []string
-		for _, workers := range exactPinWorkers() {
-			dec, err := NewBeamDecoder(p, exactPinBeam)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dec.SetSearchConfig(mode); err != nil {
+			if err := dec.SetSearchConfig(approxSearch); err != nil {
 				t.Fatal(err)
 			}
 			dec.SetParallelism(workers)
@@ -171,8 +225,8 @@ func TestApproxDeterministicAcrossWorkers(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got = append(got, fmt.Sprintf("%x/%v/%d/%d/%d",
-						out.Message, out.Cost, out.NodesExpanded, out.NodesRefreshed, out.NodesSaved))
+					got = append(got, fmt.Sprintf("%x/%v/%d/%d",
+						out.Message, out.Cost, out.NodesExpanded, out.NodesRefreshed))
 				}
 			}
 			dec.Close()
@@ -182,30 +236,28 @@ func TestApproxDeterministicAcrossWorkers(t *testing.T) {
 			}
 			for i := range got {
 				if got[i] != ref[i] {
-					t.Fatalf("mode %v: workers=%d diverged at attempt %d:\n%s\nvs\n%s",
-						mode, workers, i, got[i], ref[i])
+					t.Fatalf("metric %v: workers=%d diverged at attempt %d:\n%s\nvs\n%s",
+						metric, workers, i, got[i], ref[i])
 				}
 			}
 		}
 	}
 }
 
-// TestApproxIncrementalMatchesScratchWithoutCommit checks that with prefix
-// commit disabled, the gap/lookahead narrowing composes with incremental
-// reuse exactly: resumed attempts produce the same messages and costs as
-// from-scratch ones. (With commit enabled they may differ — freezing the
-// prefix against revision IS the approximation commit makes.)
-func TestApproxIncrementalMatchesScratchWithoutCommit(t *testing.T) {
+// TestApproxIncrementalMatchesScratch checks that the approximate search
+// composes with incremental reuse exactly: resumed attempts produce the same
+// messages and costs as from-scratch ones, on a fully observed and on a
+// striped (partially observed, so bubble-narrowed) schedule.
+func TestApproxIncrementalMatchesScratch(t *testing.T) {
 	p := exactPinParams()
-	for _, mode := range approxTestModes() {
-		mode.CommitLevels = -1
+	for _, striped := range []bool{false, true} {
 		var fps [2][]string
 		for vi, incremental := range []bool{true, false} {
 			dec, err := NewBeamDecoder(p, exactPinBeam)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := dec.SetSearchConfig(mode); err != nil {
+			if err := dec.SetSearchConfig(approxSearch); err != nil {
 				t.Fatal(err)
 			}
 			dec.SetIncremental(incremental)
@@ -217,24 +269,35 @@ func TestApproxIncrementalMatchesScratchWithoutCommit(t *testing.T) {
 					t.Fatal(err)
 				}
 				for pass, row := range byPass {
-					for s, y := range row {
-						if err := obs.Add(SymbolPos{Spine: s, Pass: pass}, y); err != nil {
+					// The striped variant adds every fourth spine per attempt,
+					// so the first pass's attempts see unobserved levels.
+					stripes := 1
+					if striped {
+						stripes = 4
+					}
+					for q := 0; q < stripes; q++ {
+						for s, y := range row {
+							if s%stripes != q {
+								continue
+							}
+							if err := obs.Add(SymbolPos{Spine: s, Pass: pass}, y); err != nil {
+								t.Fatal(err)
+							}
+						}
+						out, err := dec.Decode(obs)
+						if err != nil {
 							t.Fatal(err)
 						}
+						fps[vi] = append(fps[vi], fmt.Sprintf("%x/%v", out.Message, out.Cost))
 					}
-					out, err := dec.Decode(obs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fps[vi] = append(fps[vi], fmt.Sprintf("%x/%v", out.Message, out.Cost))
 				}
 			}
 			dec.Close()
 		}
 		for i := range fps[0] {
 			if fps[0][i] != fps[1][i] {
-				t.Fatalf("mode %v (commit off): incremental diverged from scratch at attempt %d: %s vs %s",
-					mode, i, fps[0][i], fps[1][i])
+				t.Fatalf("striped=%v: incremental diverged from scratch at attempt %d: %s vs %s",
+					striped, i, fps[0][i], fps[1][i])
 			}
 		}
 	}
@@ -285,57 +348,20 @@ func runApproxSession(t *testing.T, trial, passes int, search SearchConfig) *Res
 }
 
 // TestApproxSavesNodes checks the point of the whole exercise: on a noisy
-// multi-pass session, every approximate mode expands fewer nodes than the
-// exact search while still delivering the message, and reports non-zero
-// NodesSaved.
+// multi-pass session, the approximate search expands fewer nodes than the
+// exact search while still delivering the message.
 func TestApproxSavesNodes(t *testing.T) {
 	run := func(search SearchConfig) *Result { return runApproxSession(t, 1, 8, search) }
 	exact := run(SearchConfig{})
 	if !exact.Success {
 		t.Fatal("exact session failed; pick a better operating point")
 	}
-	for _, mode := range approxTestModes() {
-		res := run(mode)
-		if !res.Success {
-			t.Errorf("mode %v: session failed", mode)
-			continue
-		}
-		if res.NodesExpanded >= exact.NodesExpanded {
-			t.Errorf("mode %v: expanded %d nodes, exact %d — no savings",
-				mode, res.NodesExpanded, exact.NodesExpanded)
-		}
-		if res.NodesSaved == 0 {
-			t.Errorf("mode %v: NodesSaved = 0", mode)
-		}
+	res := run(approxSearch)
+	if !res.Success {
+		t.Fatal("approx session failed")
 	}
-}
-
-// TestCostGapMonotonicity pins the empirical monotonicity of the gap knob on
-// a fixed seed set: widening the gap only ever adds surviving candidates, so
-// the delivered rate must not drop as the gap grows. (Not a theorem — a
-// wider beam can in principle steal a downstream slot — but deterministic on
-// these seeds, so pinned as a regression guard.)
-func TestCostGapMonotonicity(t *testing.T) {
-	p := exactPinParams()
-	gaps := []float64{1, 2, 3, 4, 6, 8}
-	const trials = 6
-	rate := func(gap float64) float64 {
-		t.Helper()
-		var sum float64
-		for trial := 0; trial < trials; trial++ {
-			res := runApproxSession(t, trial, 8,
-				SearchConfig{Mode: SearchGap, CostGap: gap, PerLevel: true})
-			sum += res.Rate(p.MessageBits)
-		}
-		return sum
-	}
-	prev := -1.0
-	for _, g := range gaps {
-		r := rate(g)
-		if r < prev-1e-9 {
-			t.Fatalf("aggregate rate dropped when widening gap to %g: %v -> %v", g, prev, r)
-		}
-		prev = r
+	if res.NodesExpanded >= exact.NodesExpanded {
+		t.Errorf("approx expanded %d nodes, exact %d — no savings", res.NodesExpanded, exact.NodesExpanded)
 	}
 }
 
@@ -346,7 +372,7 @@ func TestCostGapMonotonicity(t *testing.T) {
 func TestLeasedDecoderMatchesFreshAcrossMetricAndSearch(t *testing.T) {
 	p := exactPinParams()
 	pool := NewDecoderPool(2)
-	searches := append([]SearchConfig{{}}, approxTestModes()...)
+	searches := []SearchConfig{{}, approxSearch}
 	for _, metric := range []CostMetric{CostFloat64, CostInt32} {
 		for _, search := range searches {
 			lease, err := pool.Lease(p, exactPinBeam)
@@ -402,7 +428,7 @@ func TestLeasedDecoderMatchesFreshAcrossMetricAndSearch(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got.Cost != want.Cost || got.NodesExpanded != want.NodesExpanded ||
-					got.NodesRefreshed != want.NodesRefreshed || got.NodesSaved != want.NodesSaved ||
+					got.NodesRefreshed != want.NodesRefreshed ||
 					!EqualMessages(got.Message, want.Message, p.MessageBits) {
 					t.Fatalf("metric %v search %v pass %d: leased diverged from fresh: %+v vs %+v",
 						metric, search, pass, got, want)

@@ -164,7 +164,7 @@ type SessionConfig struct {
 	// default, or the quantized CostInt32 metric (see BeamDecoder.SetCostMetric).
 	CostMetric CostMetric
 	// Search selects the decoder's tree-search strategy: the exact beam
-	// search (the zero value) or an approximate mode (see
+	// search (the zero value) or the approximate one (see
 	// BeamDecoder.SetSearchConfig).
 	Search SearchConfig
 	// Pool, when non-nil, supplies the session's decoder and observation
@@ -219,9 +219,6 @@ type Result struct {
 	// attempts with an in-place cost update — the work the incremental
 	// decoder did instead of re-expanding.
 	NodesRefreshed int64
-	// NodesSaved is the total estimated child expansions avoided by
-	// approximate search across all attempts; zero under exact search.
-	NodesSaved int64
 }
 
 // Rate returns the achieved rate in message bits per channel use, or zero if
@@ -427,7 +424,6 @@ func RunChannelSession(cfg SessionConfig, message []byte, ch BlockChannel, verif
 		res.Attempts++
 		res.NodesExpanded += int64(out.NodesExpanded)
 		res.NodesRefreshed += int64(out.NodesRefreshed)
-		res.NodesSaved += int64(out.NodesSaved)
 		res.Decoded = out.Message
 		if verify(out.Message) {
 			res.Success = true
@@ -516,7 +512,6 @@ func RunBitChannelSession(cfg SessionConfig, message []byte, ch BlockBitChannel,
 		res.Attempts++
 		res.NodesExpanded += int64(out.NodesExpanded)
 		res.NodesRefreshed += int64(out.NodesRefreshed)
-		res.NodesSaved += int64(out.NodesSaved)
 		res.Decoded = out.Message
 		if verify(out.Message) {
 			res.Success = true

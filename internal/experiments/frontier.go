@@ -1,26 +1,26 @@
 package experiments
 
 import (
+	"time"
+
 	"spinal/internal/channel"
 	"spinal/internal/core"
 	"spinal/internal/rng"
 	"spinal/internal/sim"
 )
 
-// This file measures the rate/work trade of the approximate search modes:
-// the same rateless transmissions run once per mode — exact, gap pruning,
-// lookahead narrowing and the stacked approx mode — on identical per-trial
-// message and noise streams, so any rate difference is attributable to the
-// search strategy alone. The headline claim (the frontier scenario's gate)
-// is that an approximate mode reaches >=95% of the exact rate while
-// expanding <=40% of the exact node count at the default operating point.
+// This file measures the rate/work trade of the approximate search: the
+// same rateless transmissions run once per mode — exact and approx — on
+// identical per-trial message and noise streams, so any rate difference is
+// attributable to the search strategy alone. The headline claim (the
+// frontier scenario's gate) is that approx reaches >=95% of the exact rate
+// while expanding <=40% of the exact node count at the default operating
+// point.
 
-// frontierModes are the search strategies the comparison sweeps, exact
-// first (the other points report ratios against it).
-var frontierModes = []core.SearchConfig{
+// searchModes are the search strategies the frontier and saturate
+// comparisons run, exact first (frontier reports ratios against it).
+var searchModes = []core.SearchConfig{
 	{},
-	{Mode: core.SearchGap},
-	{Mode: core.SearchLookahead},
 	{Mode: core.SearchApprox},
 }
 
@@ -41,9 +41,10 @@ type FrontierPoint struct {
 	// NodesVsExact is Nodes divided by the exact mode's Nodes at this SNR
 	// (1.0 for the exact row).
 	NodesVsExact float64
-	// NodesSaved is the decoder's own estimate of child expansions avoided
-	// by approximate search (zero for the exact row).
-	NodesSaved int64
+	// DecodeMsPerMsg is the mean wall-clock time of one message's session —
+	// every decode attempt plus the encoding and channel simulation feeding
+	// them, which decoding dominates — in milliseconds.
+	DecodeMsPerMsg float64
 	// Delivered counts messages decoded within the pass budget.
 	Delivered int
 	Trials    int
@@ -53,7 +54,7 @@ type FrontierPoint struct {
 type frontierTrial struct {
 	uses  int
 	nodes int64
-	saved int64
+	wall  time.Duration
 	ok    bool
 }
 
@@ -76,10 +77,10 @@ func FrontierComparison(cfg SpinalConfig, snrsDB []float64) ([]FrontierPoint, er
 		cfg.Pool = core.NewDecoderPool(core.DefaultDecoderPoolCapacity)
 		defer cfg.Pool.Drain()
 	}
-	points := make([]FrontierPoint, 0, len(snrsDB)*len(frontierModes))
+	points := make([]FrontierPoint, 0, len(snrsDB)*len(searchModes))
 	for _, snr := range snrsDB {
 		var exact FrontierPoint
-		for i, sc := range frontierModes {
+		for i, sc := range searchModes {
 			pt, err := frontierAtSNR(cfg, params, sched, snr, sc)
 			if err != nil {
 				return nil, err
@@ -107,6 +108,7 @@ func frontierAtSNR(cfg SpinalConfig, params core.Params, sched core.Schedule, sn
 		if err != nil {
 			return frontierTrial{}, err
 		}
+		start := time.Now()
 		out, err := core.RunChannelSession(core.SessionConfig{
 			Params:      params,
 			BeamWidth:   cfg.BeamWidth,
@@ -123,7 +125,7 @@ func frontierAtSNR(cfg SpinalConfig, params core.Params, sched core.Schedule, sn
 		return frontierTrial{
 			uses:  out.ChannelUses,
 			nodes: out.NodesExpanded,
-			saved: out.NodesSaved,
+			wall:  time.Since(start),
 			ok:    out.Success,
 		}, nil
 	})
@@ -132,10 +134,11 @@ func frontierAtSNR(cfg SpinalConfig, params core.Params, sched core.Schedule, sn
 	}
 	pt := FrontierPoint{SNRdB: snrDB, Mode: sc.String(), Trials: cfg.Trials}
 	var bits, uses int64
+	var wall time.Duration
 	for _, r := range results {
 		uses += int64(r.uses)
 		pt.Nodes += r.nodes
-		pt.NodesSaved += r.saved
+		wall += r.wall
 		if r.ok {
 			bits += int64(cfg.MessageBits)
 			pt.Delivered++
@@ -144,12 +147,15 @@ func frontierAtSNR(cfg SpinalConfig, params core.Params, sched core.Schedule, sn
 	if uses > 0 {
 		pt.Rate = float64(bits) / float64(uses)
 	}
+	if len(results) > 0 {
+		pt.DecodeMsPerMsg = wall.Seconds() * 1000 / float64(len(results))
+	}
 	return pt, nil
 }
 
 // FrontierColumns is the point schema of the approximate-search frontier.
-// Every column is deterministic: node counts are decoder work, not
-// wall-clock, and all modes share per-trial seeds.
+// Every column but the measured decode time is deterministic: node counts
+// are decoder work, not wall-clock, and both modes share per-trial seeds.
 func FrontierColumns() []sim.Column {
 	return []sim.Column{
 		sim.Col("snr_db", "%.1f"),
@@ -158,7 +164,7 @@ func FrontierColumns() []sim.Column {
 		sim.Col("rate_vs_exact", "%.3f"),
 		sim.Col("nodes", "%d"),
 		sim.Col("nodes_vs_exact", "%.3f"),
-		sim.Col("nodes_saved", "%d"),
+		sim.VolatileCol("decode_ms_per_msg", "%.2f"),
 		sim.Col("delivered", "%d"),
 		sim.Col("trials", "%d"),
 	}
@@ -169,7 +175,7 @@ func FormatFrontier(pts []FrontierPoint) *sim.Table {
 	t := sim.NewTable("", FrontierColumns()...)
 	for _, p := range pts {
 		t.AddRow(p.SNRdB, p.Mode, p.Rate, p.RateVsExact, p.Nodes,
-			p.NodesVsExact, p.NodesSaved, p.Delivered, p.Trials)
+			p.NodesVsExact, p.DecodeMsPerMsg, p.Delivered, p.Trials)
 	}
 	return t
 }

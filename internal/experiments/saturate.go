@@ -4,22 +4,22 @@ import (
 	"fmt"
 	"time"
 
+	"spinal/internal/core"
 	"spinal/internal/link"
 	"spinal/internal/sim"
 )
 
-// This file measures load-adaptive search selection under saturation: many
-// flows stream pre-corrupted frames into one receiver whose decode capacity
-// is deliberately scarce (few workers, a tight per-flow decode budget), once
-// with every attempt running the exact search and once with AdaptiveSearch
-// letting budget pressure pick approximate modes per flow. Both runs replay
-// byte-identical frames. The gate the scenario's notes state: the adaptive
-// receiver should beat the all-exact aggregate goodput while keeping Jain
-// fairness within 5% of it.
+// This file measures the approximate search under saturation: many flows
+// stream pre-corrupted frames into one receiver whose decode capacity is
+// deliberately scarce (few workers, a tight per-flow decode budget), once
+// with every attempt running the exact search and once with every attempt
+// running approx. Both runs replay byte-identical frames. The gate the
+// scenario's notes state: the approx receiver should beat the exact
+// receiver's aggregate goodput while keeping Jain fairness within 5% of it.
 
 // SaturatePoint summarizes one receiver mode of the saturation comparison.
 type SaturatePoint struct {
-	// Mode is "exact" or "adaptive".
+	// Mode is the receiver's search strategy, "exact" or "approx".
 	Mode string
 	// Flows and MessagesPerFlow shape the offered load; Budget is the
 	// per-flow decode budget (link.Config.FlowDecodeBudget).
@@ -36,24 +36,20 @@ type SaturatePoint struct {
 	// Fairness is Jain's index over per-flow goodputs (see multiflow).
 	Fairness float64
 	// Deferrals counts decode-scheduler decisions that skipped an
-	// over-budget flow; under adaptive search they double as the pressure
-	// signal driving mode selection.
+	// over-budget flow.
 	Deferrals uint64
-	// NodesSaved is the engine's estimate of tree expansions avoided by
-	// approximate search (zero in exact mode).
-	NodesSaved int64
-	// SearchAttempts counts executed decode attempts per search mode.
-	SearchAttempts map[string]uint64
+	// Attempts counts the receiver's executed decode attempts.
+	Attempts uint64
 }
 
 // saturateDecodeWorkers pins the receiver's decode-worker pool so the CPU
-// budget — the resource adaptive search trades rate for — is fixed and
+// budget — the resource approximate search trades rate for — is fixed and
 // scarce relative to the flow count.
 const saturateDecodeWorkers = 2
 
 // SaturateComparison runs the saturation workload twice over byte-identical
-// pre-corrupted frames — all-exact, then adaptive — and reports goodput,
-// fairness and the engine's search counters for each.
+// pre-corrupted frames — exact receiver, then approx receiver — and reports
+// goodput, fairness and the engine's counters for each.
 func SaturateComparison(cfg SpinalConfig, snrDB float64, flows, messagesPerFlow int, budget int64) ([]SaturatePoint, error) {
 	cfg = cfg.withDefaults()
 	if flows < 1 || messagesPerFlow < 1 {
@@ -79,9 +75,9 @@ func SaturateComparison(cfg SpinalConfig, snrDB float64, flows, messagesPerFlow 
 		msgs[f] = flat[f*messagesPerFlow : (f+1)*messagesPerFlow]
 	}
 
-	out := make([]SaturatePoint, 0, 2)
-	for _, adaptive := range []bool{false, true} {
-		pt, err := saturateRun(cfg, snrDB, msgs, payloadLen, budget, adaptive)
+	out := make([]SaturatePoint, 0, len(searchModes))
+	for _, search := range searchModes {
+		pt, err := saturateRun(cfg, snrDB, msgs, payloadLen, budget, search)
 		if err != nil {
 			return nil, err
 		}
@@ -94,18 +90,15 @@ func SaturateComparison(cfg SpinalConfig, snrDB float64, flows, messagesPerFlow 
 // send loop is the multiflow round-robin: each live flow offers one frame
 // per round, deliveries are drained between rounds, and a flow advances to
 // its next message on delivery or budget exhaustion.
-func saturateRun(cfg SpinalConfig, snrDB float64, msgs [][]*mfMessage, payloadLen int, budget int64, adaptive bool) (SaturatePoint, error) {
+func saturateRun(cfg SpinalConfig, snrDB float64, msgs [][]*mfMessage, payloadLen int, budget int64, search core.SearchConfig) (SaturatePoint, error) {
 	flows := len(msgs)
 	messagesPerFlow := len(msgs[0])
 	pt := SaturatePoint{
-		Mode:            "exact",
+		Mode:            search.String(),
 		Flows:           flows,
 		MessagesPerFlow: messagesPerFlow,
 		Budget:          budget,
 		SNRdB:           snrDB,
-	}
-	if adaptive {
-		pt.Mode = "adaptive"
 	}
 
 	far, near, err := link.NewPipePair(0, cfg.Seed^uint64(flows)<<1)
@@ -119,7 +112,7 @@ func saturateRun(cfg SpinalConfig, snrDB float64, msgs [][]*mfMessage, payloadLe
 		Seed:             cfg.Seed,
 		DecodeWorkers:    saturateDecodeWorkers,
 		FlowDecodeBudget: budget,
-		AdaptiveSearch:   adaptive,
+		Search:           search,
 	}, nil)
 	if err != nil {
 		far.Close()
@@ -208,8 +201,7 @@ func saturateRun(cfg SpinalConfig, snrDB float64, msgs [][]*mfMessage, payloadLe
 	pt.Delivered = len(deliveredPayload)
 	stats := recv.EngineStats()
 	pt.Deferrals = stats.BudgetDeferrals
-	pt.NodesSaved = stats.NodesSaved
-	pt.SearchAttempts = stats.SearchAttempts
+	pt.Attempts = stats.SearchAttempts[pt.Mode]
 	recv.Close()
 	far.Close()
 
@@ -239,11 +231,7 @@ func SaturateColumns() []sim.Column {
 		sim.VolatileCol("goodput_bps", "%.3g"),
 		sim.VolatileCol("fairness", "%.3f"),
 		sim.VolatileCol("deferrals", "%d"),
-		sim.VolatileCol("nodes_saved", "%d"),
-		sim.VolatileCol("attempts_exact", "%d"),
-		sim.VolatileCol("attempts_gap", "%d"),
-		sim.VolatileCol("attempts_lookahead", "%d"),
-		sim.VolatileCol("attempts_approx", "%d"),
+		sim.VolatileCol("attempts", "%d"),
 	}
 }
 
@@ -253,9 +241,7 @@ func FormatSaturate(pts []SaturatePoint) *sim.Table {
 	for _, p := range pts {
 		t.AddRow(p.Mode, p.Flows, p.Flows*p.MessagesPerFlow, p.Budget,
 			p.Delivered, float64(p.Elapsed.Microseconds())/1000,
-			p.GoodputBitsPerSec, p.Fairness, p.Deferrals, p.NodesSaved,
-			p.SearchAttempts["exact"], p.SearchAttempts["gap"],
-			p.SearchAttempts["lookahead"], p.SearchAttempts["approx"])
+			p.GoodputBitsPerSec, p.Fairness, p.Deferrals, p.Attempts)
 	}
 	return t
 }

@@ -513,7 +513,7 @@ func init() {
 	})
 	sim.Register(sim.Scenario{
 		Name:        "frontier",
-		Description: "approximate-search frontier: rate vs nodes expanded for exact/gap/lookahead/approx on identical seeds",
+		Description: "approximate-search frontier: rate, nodes expanded and decode time for exact vs approx on identical seeds",
 		Flags:       append([]string{"snr-min", "snr-max", "snr-step", "short"}, codeFlags...),
 		Schema:      FrontierColumns(),
 		Run: func(req sim.Request) (*sim.Result, error) {
@@ -529,7 +529,7 @@ func init() {
 			}
 			if req.MessageBits == 0 || req.MessageBits == 24 {
 				// Likewise the -m default: longer messages give the search
-				// tree enough levels for pruning and prefix commit to matter.
+				// tree enough levels for narrowing to matter.
 				cfg.MessageBits = 96
 			}
 			cfg.MaxPasses = 150
@@ -542,8 +542,8 @@ func init() {
 				return nil, err
 			}
 			res := sim.NewResult("frontier")
-			res.Notef("approximate-search frontier: every mode decodes the same per-trial symbol streams (-search is ignored; all modes run)")
-			res.Notef("gate: at the default operating point an approximate mode reaches >=95%% of the exact rate at <=40%% of the exact nodes")
+			res.Notef("approximate-search frontier: both modes decode the same per-trial symbol streams (-search is ignored; both modes run)")
+			res.Notef("gate: at the default operating point approx reaches >=95%% of the exact rate at <=40%% of the exact nodes")
 			res.Notef("effective config: B=%d, m=%d, %d trials, %d passes max (this experiment defaults B to 32 and m to 96; -beam/-m override)",
 				cfg.BeamWidth, cfg.MessageBits, cfg.Trials, cfg.MaxPasses)
 			res.Add(FormatFrontier(pts))
@@ -552,7 +552,7 @@ func init() {
 	})
 	sim.Register(sim.Scenario{
 		Name:        "saturate",
-		Description: "load-adaptive search under saturation: many flows, scarce decode workers, adaptive vs all-exact goodput",
+		Description: "approximate search under saturation: many flows, scarce decode workers, approx vs exact receiver goodput",
 		Flags:       append([]string{"snr", "short"}, codeFlags...),
 		Schema:      SaturateColumns(),
 		Run: func(req sim.Request) (*sim.Result, error) {
@@ -580,7 +580,7 @@ func init() {
 			res := sim.NewResult("saturate")
 			res.Notef("saturated receiver at %.1f dB: %d flows x %d messages on %d decode workers, per-flow decode budget %d nodes",
 				req.SNR, flows, msgs, saturateDecodeWorkers, budget)
-			res.Notef("gate: adaptive goodput should beat all-exact with Jain fairness within 5%% (wall-clock dependent; CRC keeps approximate decodes safe)")
+			res.Notef("gate: approx goodput should beat exact with Jain fairness within 5%% (wall-clock dependent; CRC keeps approximate decodes safe)")
 			res.Notef("effective config: k=%d (this experiment defaults k to 4; pass -k to override)", cfg.K)
 			res.Add(FormatSaturate(pts))
 			return res, nil

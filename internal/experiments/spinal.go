@@ -56,7 +56,7 @@ type SpinalConfig struct {
 	Metric core.CostMetric
 	// Search is the decoder's tree-search strategy (the zero value is the
 	// exact beam search; see core.SearchConfig). The frontier scenario
-	// measures the rate/work trade of the approximate modes.
+	// measures the rate/work trade of the approximate search.
 	Search core.SearchConfig
 	// Pool optionally shares a decoder pool across calls (e.g. across the
 	// points of a sweep); nil lets each call pool privately.

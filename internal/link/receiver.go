@@ -216,7 +216,7 @@ func NewReceiver(tr Transport, cfg Config, impairment channel.SymbolChannel) (*R
 		impairment: impairment,
 		flows:      map[uint32]*flowState{},
 		pool:       core.NewDecoderPool(poolCap),
-		eng:        newFlowEngine(tr, workers, cfg.FlowDecodeBudget, cfg.Search, cfg.AdaptiveSearch),
+		eng:        newFlowEngine(tr, workers, cfg.FlowDecodeBudget),
 	}
 	if pt, ok := tr.(PacketTransport); ok {
 		r.ptr = pt
@@ -561,8 +561,7 @@ func (r *Receiver) stateFor(v *FrameView) (*msgState, error) {
 		return nil, err
 	}
 	// Likewise for the search strategy: leases come back exact, so the
-	// configured base strategy is installed here. Under AdaptiveSearch the
-	// engine may override it per attempt from budget pressure.
+	// configured strategy is installed here.
 	if err := lease.Dec.SetSearchConfig(r.cfg.Search); err != nil {
 		lease.Release()
 		return nil, err
@@ -806,12 +805,9 @@ type EngineStats struct {
 	// over-budget flow.
 	BudgetDeferrals uint64 `json:"budget_deferrals"`
 	// SearchAttempts counts executed decode attempts by the search mode
-	// they ran under (keys are the -search spellings: exact, gap,
-	// lookahead, approx). Modes that never ran are omitted.
+	// they ran under (keys are the -search spellings: exact, approx).
+	// Modes that never ran are omitted.
 	SearchAttempts map[string]uint64 `json:"search_attempts,omitempty"`
-	// NodesSaved is the decoders' running estimate of tree expansions
-	// avoided by approximate search; zero on an all-exact receiver.
-	NodesSaved int64 `json:"nodes_saved"`
 	// Pool is the shared decoder pool's traffic counters; Pool.Outstanding
 	// above zero after a drain means leaked decoder leases.
 	Pool core.PoolStats `json:"pool"`
@@ -821,15 +817,13 @@ type EngineStats struct {
 
 // EngineStats snapshots the receiver's operational counters.
 func (r *Receiver) EngineStats() EngineStats {
-	attempts, saved := r.eng.searchStats()
 	return EngineStats{
 		TrackedFlows:    len(r.flows),
 		TrackedMessages: r.nmsgs,
 		ShedFlows:       r.shed,
 		ExpiredFlows:    r.expired,
 		BudgetDeferrals: r.eng.budgetDeferrals(),
-		SearchAttempts:  attempts,
-		NodesSaved:      saved,
+		SearchAttempts:  r.eng.searchStats(),
 		Pool:            r.pool.Stats(),
 		AckArena:        r.eng.acks.Stats(),
 	}
@@ -852,13 +846,6 @@ type flowEngine struct {
 	// pending work before the scheduler defers its attempts. Zero disables
 	// budget accounting.
 	budget int64
-	// base is Config.Search, the strategy every attempt runs under when
-	// adaptive selection is off (it is installed on each lease by stateFor)
-	// and the strategy unpressured flows relax back to when it is on.
-	base core.SearchConfig
-	// adaptive is Config.AdaptiveSearch: pick each flow's search strategy
-	// from its budget-deferral pressure instead of using base everywhere.
-	adaptive bool
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -872,17 +859,9 @@ type flowEngine struct {
 	// over-budget flow in favour of a cheaper one.
 	spent     map[uint32]int64
 	deferrals uint64
-	// pressure is the adaptive-search signal: one count per scheduling
-	// decision that deferred the flow, halved each time one of its attempts
-	// actually runs. Flows under sustained deferral climb the mode ladder
-	// (gap, lookahead, approx); flows the scheduler serves promptly decay
-	// back to the base strategy. Nil unless adaptive.
-	pressure map[uint32]uint64
 	// modeAttempts counts executed decode attempts by the search mode they
-	// ran under (indexed by core.SearchMode); nodesSaved folds the
-	// decoders' estimates of expansions avoided by approximate search.
-	modeAttempts [4]uint64
-	nodesSaved   int64
+	// ran under (indexed by core.SearchMode).
+	modeAttempts [2]uint64
 	// outstanding counts attempt tokens submitted but not yet fully
 	// processed (result recorded); while it is zero, Receive can block for
 	// its whole timeout instead of polling for worker results.
@@ -901,21 +880,16 @@ type flowQueue struct {
 	inRing bool
 }
 
-func newFlowEngine(tr Transport, workers int, budget int64, base core.SearchConfig, adaptive bool) *flowEngine {
+func newFlowEngine(tr Transport, workers int, budget int64) *flowEngine {
 	if workers < 1 {
 		workers = 1
 	}
 	e := &flowEngine{
-		tr:       tr,
-		flowQ:    map[uint32]*flowQueue{},
-		acks:     NewArena(ackMarshalCap, 2*workers+8),
-		budget:   budget,
-		base:     base,
-		adaptive: adaptive,
-		spent:    map[uint32]int64{},
-	}
-	if adaptive {
-		e.pressure = map[uint32]uint64{}
+		tr:     tr,
+		flowQ:  map[uint32]*flowQueue{},
+		acks:   NewArena(ackMarshalCap, 2*workers+8),
+		budget: budget,
+		spent:  map[uint32]int64{},
 	}
 	if pt, ok := tr.(PacketTransport); ok {
 		e.pt = pt
@@ -984,7 +958,6 @@ func (e *flowEngine) pickLocked() *flowQueue {
 	if e.budget <= 0 || len(e.ring) == 1 {
 		fq := e.ring[0]
 		e.ring = e.ring[1:]
-		e.decayPressureLocked(fq.id)
 		return fq
 	}
 	min := e.spent[e.ring[0].id]
@@ -996,76 +969,27 @@ func (e *flowEngine) pickLocked() *flowQueue {
 	for i, fq := range e.ring {
 		if e.spent[fq.id]-min <= e.budget {
 			e.deferrals += uint64(i)
-			if e.adaptive {
-				// Each flow rotated past accrues one unit of pressure,
-				// nudging its next attempts toward cheaper search modes.
-				for j := 0; j < i; j++ {
-					e.pressure[e.ring[j].id]++
-				}
-			}
 			e.ring = append(e.ring[:i], e.ring[i+1:]...)
-			e.decayPressureLocked(fq.id)
 			return fq
 		}
 	}
 	// Unreachable: the minimum-spend flow always satisfies the budget.
 	fq := e.ring[0]
 	e.ring = e.ring[1:]
-	e.decayPressureLocked(fq.id)
 	return fq
 }
 
-// decayPressureLocked halves a flow's deferral pressure when one of its
-// attempts is actually scheduled, so a flow the scheduler serves promptly
-// relaxes back to the base search strategy within a few attempts.
-func (e *flowEngine) decayPressureLocked(flow uint32) {
-	if !e.adaptive {
-		return
-	}
-	if p := e.pressure[flow]; p > 1 {
-		e.pressure[flow] = p / 2
-	} else if p == 1 {
-		delete(e.pressure, flow)
-	}
-}
-
-// searchFor picks the search strategy for one attempt of a flow. Without
-// adaptive selection it is always the base strategy; with it, sustained
-// budget deferral climbs a ladder of progressively more aggressive
-// approximate modes — decode cheaper when the receiver cannot keep up —
-// and drained pressure falls back to the base.
-func (e *flowEngine) searchFor(flow uint32) core.SearchConfig {
-	if !e.adaptive {
-		return e.base
-	}
-	e.mu.Lock()
-	p := e.pressure[flow]
-	e.mu.Unlock()
-	switch {
-	case p == 0:
-		return e.base
-	case p < 4:
-		return core.SearchConfig{Mode: core.SearchGap}
-	case p < 8:
-		return core.SearchConfig{Mode: core.SearchLookahead}
-	default:
-		return core.SearchConfig{Mode: core.SearchApprox}
-	}
-}
-
-// noteSearch records one executed attempt's search mode and saved work.
-func (e *flowEngine) noteSearch(mode core.SearchMode, saved int64) {
+// noteSearch records one executed attempt's search mode.
+func (e *flowEngine) noteSearch(mode core.SearchMode) {
 	e.mu.Lock()
 	if int(mode) < len(e.modeAttempts) {
 		e.modeAttempts[mode]++
 	}
-	e.nodesSaved += saved
 	e.mu.Unlock()
 }
 
-// searchStats snapshots the per-mode attempt counters and the saved-node
-// estimate for EngineStats.
-func (e *flowEngine) searchStats() (map[string]uint64, int64) {
+// searchStats snapshots the per-mode attempt counters for EngineStats.
+func (e *flowEngine) searchStats() map[string]uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	m := make(map[string]uint64, len(e.modeAttempts))
@@ -1074,7 +998,7 @@ func (e *flowEngine) searchStats() (map[string]uint64, int64) {
 			m[core.SearchMode(mode).String()] = n
 		}
 	}
-	return m, e.nodesSaved
+	return m
 }
 
 // noteSpend charges freshly expanded decode-tree nodes to a flow's ledger.
@@ -1092,7 +1016,6 @@ func (e *flowEngine) noteSpend(flow uint32, nodes int64) {
 func (e *flowEngine) forgetFlow(flow uint32) {
 	e.mu.Lock()
 	delete(e.spent, flow)
-	delete(e.pressure, flow)
 	e.mu.Unlock()
 }
 
@@ -1179,7 +1102,6 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 	st.mu.Unlock()
 
 	var out *core.DecodeResult
-	usedMode := core.SearchExact
 	err := func() error {
 		// The whole drained batch lands in the observations through one
 		// AddBatch: one generation bump and one dirty-level update per
@@ -1192,17 +1114,6 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 		if lease.Obs.Count() < st.minUses {
 			return nil
 		}
-		if e.adaptive {
-			// Load-adaptive mode selection: re-pick from this flow's budget
-			// pressure on every attempt. SetSearchConfig is a no-op when the
-			// mode is unchanged; a genuine switch invalidates the incremental
-			// workspace (frontiers pruned under one strategy do not describe
-			// another), which the next Decode absorbs as a from-root rebuild.
-			if err := lease.Dec.SetSearchConfig(e.searchFor(st.flow)); err != nil {
-				return err
-			}
-		}
-		usedMode = lease.Dec.SearchConfig().Mode
 		var derr error
 		out, derr = lease.Dec.Decode(lease.Obs)
 		return derr
@@ -1225,7 +1136,7 @@ func (e *flowEngine) attempt(st *msgState) (*Delivered, error) {
 	st.mu.Unlock()
 	if out != nil {
 		e.noteSpend(st.flow, int64(out.NodesExpanded))
-		e.noteSearch(usedMode, int64(out.NodesSaved))
+		e.noteSearch(lease.Dec.SearchConfig().Mode)
 	}
 	reclaim.Release()
 	if err != nil || evicted || out == nil {

@@ -124,20 +124,11 @@ type Config struct {
 	// to match the sender.
 	CostMetric core.CostMetric
 	// Search selects the receiver decoders' tree-search strategy: the exact
-	// beam search (the zero value) or an approximate mode
+	// beam search (the zero value) or the approximate one
 	// (core.BeamDecoder.SetSearchConfig). Receiver-local, like CostMetric —
 	// the CRC guards delivery, so an approximate decode can cost extra
-	// passes but never a wrong payload. When AdaptiveSearch is set this is
-	// only the baseline for unpressured flows.
+	// passes but never a wrong payload.
 	Search core.SearchConfig
-	// AdaptiveSearch lets the receiver pick each flow's search strategy
-	// from decode-budget pressure: flows whose attempts keep being deferred
-	// by the FlowDecodeBudget scheduler are switched to progressively more
-	// aggressive approximate modes (gap pruning, then lookahead, then the
-	// stacked approx mode), and revert toward Config.Search as the pressure
-	// drains. Requires FlowDecodeBudget, which supplies the pressure
-	// signal.
-	AdaptiveSearch bool
 	// MaxDecodeCost caps the decode work a single frame may advertise,
 	// measured as 2^K times the segment count of the message it describes.
 	// The wire format admits parameters (K=12 with a maximum-length
@@ -269,9 +260,6 @@ func (c Config) validate() error {
 	}
 	if c.IdleExpiry < 0 {
 		return fmt.Errorf("link: IdleExpiry must be >= 0, got %v", c.IdleExpiry)
-	}
-	if c.AdaptiveSearch && c.FlowDecodeBudget == 0 {
-		return fmt.Errorf("link: AdaptiveSearch requires a FlowDecodeBudget (the budget ledger is the pressure signal)")
 	}
 	if c.LegacyV0 && c.FlowID != 0 {
 		return fmt.Errorf("link: legacy v0 framing cannot carry flow %d", c.FlowID)

@@ -85,10 +85,11 @@ type Config struct {
 	CostMetric CostMetric
 	// Search selects the decoder's tree-search strategy: the exact beam
 	// search (the zero value, bit-identical to the decoder before
-	// approximate modes existed) or one of the approximate modes — gap
-	// pruning, lookahead narrowing, or both stacked — which trade a small,
-	// measured rate tariff for a large cut in expanded tree nodes (see the
-	// `frontier` scenario). Parse CLI spellings with ParseSearchConfig.
+	// approximate modes existed) or the approximate search — bubble plus
+	// lookahead narrowing, both derived from the beam width — which trades
+	// a small, measured rate tariff for a large cut in expanded tree nodes
+	// (see the `frontier` scenario). Parse CLI spellings with
+	// ParseSearchConfig.
 	Search SearchConfig
 }
 
@@ -116,19 +117,14 @@ type SearchMode = core.SearchMode
 const (
 	// SearchExact is the full beam search of the paper (the default).
 	SearchExact = core.SearchExact
-	// SearchGap prunes candidates trailing the per-level best by more than
-	// a configurable cost gap.
-	SearchGap = core.SearchGap
-	// SearchLookahead narrows each level's frontier to the top ExpandTop
-	// nodes, half ranked by a half-level lookahead probe.
-	SearchLookahead = core.SearchLookahead
-	// SearchApprox stacks gap pruning, lookahead narrowing and prefix
-	// commit.
+	// SearchApprox narrows unobserved levels to the children of the
+	// max(2, B/8) cheapest parents and observed levels to max(2, B/2)
+	// nodes ranked with a half-level lookahead probe.
 	SearchApprox = core.SearchApprox
 )
 
 // ParseSearchConfig resolves the CLI spelling of a search strategy: "exact"
-// (or empty), "gap[:G]", "lookahead[:M]", or "approx".
+// (or empty) or "approx".
 func ParseSearchConfig(s string) (SearchConfig, error) { return core.ParseSearchConfig(s) }
 
 func (c Config) withDefaults() Config {
