@@ -19,7 +19,10 @@ import (
 // Levels for which no symbols have been received (punctured spine values) are
 // expanded without pruning, up to MaxCandidates nodes, so that later
 // observations can still disambiguate them; this is what allows decoding from
-// fewer than n/k symbols and therefore rates above k bits/symbol.
+// fewer than n/k symbols and therefore rates above k bits/symbol. Such a
+// level's children all carry their parent's path cost, so when it has more
+// children than it keeps the survivors are known before any child is
+// hashed, and only they are expanded.
 //
 // The decoder is incremental across attempts: it keeps a workspace with the
 // per-level frontiers, the pre-pruning child expansions and their
@@ -235,8 +238,9 @@ func (d *BeamDecoder) invalidateWorkspaces() {
 // NodesExpanded reports the number of tree nodes freshly expanded (one hash
 // evaluation plus a full cost computation each) by the most recent Decode
 // call; it is the decoder's computational cost in the paper's unit of work.
-// Cached nodes whose costs were merely refreshed are counted separately by
-// NodesRefreshed.
+// At a level with no observations and more children than it keeps, only the
+// kept children are hashed, and only they count. Cached nodes whose costs
+// were merely refreshed are counted separately by NodesRefreshed.
 func (d *BeamDecoder) NodesExpanded() int { return d.nodesExpanded }
 
 // NodesRefreshed reports the number of cached tree nodes whose costs were
@@ -254,7 +258,9 @@ type DecodeResult struct {
 	// units under the quantized int32 metric).
 	Cost float64
 	// NodesExpanded is the number of decoding-tree nodes freshly evaluated
-	// (hash replay plus full cost) in this attempt.
+	// (hash replay plus full cost) in this attempt. A level with no
+	// observations that is truncated to fewer nodes than it has children
+	// counts only the nodes it keeps: the others are never hashed.
 	NodesExpanded int
 	// NodesRefreshed is the number of cached nodes reused from the previous
 	// attempt with an in-place cost update.
@@ -320,13 +326,14 @@ func (d *BeamDecoder) DecodeBits(obs *BitObservations) (*DecodeResult, error) {
 // observations. prepareLevel stages the level's observations as flat
 // coordinate/bit-offset arrays so the sharded cost folds run over dense
 // float64 slices, and the fold extracts each pass's 2c coded bits from a
-// hash word cached in registers, recomputing it only when the word index
-// changes (passes read the expansion in ascending order, so that is once per
-// 64 bits). When the mapper exposes its per-dimension table the fold reads
-// symbol coordinates straight from it — two array loads instead of an
-// interface call. All of it is value-preserving: the same hash words, the
-// same table float64s, the same add order, so this path computes
-// bit-identical costs to the plain symbolFor replay it descends from.
+// cached hash word, recomputing it only when the word index changes (passes
+// read the expansion in ascending order, so that is once per 64 bits). When
+// the mapper exposes its per-dimension table the fold reads symbol
+// coordinates straight from it — two array loads instead of an interface
+// call — and runs term-outer over the batch (see costChunk). All of it is
+// value-preserving: the same hash words, the same table float64s, the same
+// add order, so this path computes bit-identical costs to the plain
+// symbolFor replay it descends from.
 type awgnCoster struct {
 	d   *BeamDecoder
 	obs *Observations
@@ -359,11 +366,14 @@ func (c *awgnCoster) prepareLevel(level int) {
 func (c *awgnCoster) costTail(local float64, spine uint64, level, from int) float64 {
 	loc := [1]float64{local}
 	sp := [1]uint64{spine}
-	c.costTailMany(loc[:], sp[:], level, from, nil)
+	var fold foldScratch
+	c.costTailMany(loc[:], sp[:], level, from, &fold)
 	return loc[0]
 }
 
-func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from int, _ *foldScratch) {
+// costTailMany folds through the caller's batch scratch, like the quantized
+// fold: the coster itself is shared by every shard of a parallel level.
+func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from int, fold *foldScratch) {
 	n := len(c.starts)
 	if from >= n {
 		if from == 0 {
@@ -371,8 +381,7 @@ func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from
 		}
 		return
 	}
-	tab := c.tab
-	if tab == nil {
+	if c.tab == nil {
 		// Custom mapper without a dimension table: replay through the Mapper
 		// interface, still with word-level memoization of the expansion.
 		width := uint(2 * c.d.p.C)
@@ -393,46 +402,76 @@ func (c *awgnCoster) costTailMany(locals []float64, spines []uint64, level, from
 		}
 		return
 	}
+	for len(spines) > quantFoldChunk {
+		c.costChunk(locals[:quantFoldChunk], spines[:quantFoldChunk], from, fold)
+		locals = locals[quantFoldChunk:]
+		spines = spines[quantFoldChunk:]
+	}
+	c.costChunk(locals, spines, from, fold)
+}
+
+// costChunk is the table fold, term-outer/child-inner like
+// awgnQuantCoster.costChunk: each observation's hash words are resolved for
+// the whole batch in one flat loop, so the independent hash chains of the
+// children overlap instead of serializing along each child's pass chain,
+// and a second flat loop adds the term to every child's sum. Every sum still
+// receives the same additions in the same order as a child-at-a-time fold,
+// so the costs are bit-identical to it.
+func (c *awgnCoster) costChunk(locals []float64, spines []uint64, from int, fold *foldScratch) {
+	n := len(c.starts)
+	tab := c.tab
 	cc := uint(c.d.p.C)
 	mask := uint32(1)<<cc - 1
 	width := uint32(2 * c.d.p.C)
 	wmask := uint32(uint64(1)<<width - 1)
 	fam := c.d.family
-	starts := c.starts[from:n]
-	yI := c.yI[from:n]
-	yQ := c.yQ[from:n:n]
-	for j, spine := range spines {
-		var local float64
-		if from > 0 {
-			local = locals[j]
-		}
-		wi := ^uint32(0) // cached word index; all-ones is never valid here
-		var w uint64
-		for i, start := range starts {
-			idx := start >> 6
-			off := start & 63
-			if idx != wi {
-				w = fam.Word(spine, idx)
-				wi = idx
+	m := len(spines)
+	fold.words = sized(fold.words, m)
+	words := fold.words[:m]
+	acc := locals[:m:m]
+	if from == 0 {
+		clear(acc)
+	}
+	_ = tab[mask] // every lookup index is masked to at most mask
+	curIdx := ^uint32(0)
+	for i := from; i < n; i++ {
+		start := c.starts[i]
+		idx := start >> 6
+		off := start & 63
+		yI, yQ := c.yI[i], c.yQ[i]
+		if idx != curIdx {
+			for j, spine := range spines {
+				words[j] = fam.Word(spine, idx)
 			}
-			var word uint32
-			if off+width <= 64 {
-				word = uint32(w>>(64-off-width)) & wmask
-			} else {
-				// The range straddles into the next word; advance the cache
-				// to it, since later passes start there.
-				hiBits := 64 - off
-				loBits := width - hiBits
-				hi := w & (uint64(1)<<hiBits - 1)
-				w = fam.Word(spine, idx+1)
-				wi = idx + 1
-				word = uint32(hi<<loBits | w>>(64-loBits))
-			}
-			dI := yI[i] - tab[word>>cc&mask]
-			dQ := yQ[i] - tab[word&mask]
-			local += dI*dI + dQ*dQ
+			curIdx = idx
 		}
-		locals[j] = local
+		if off+width <= 64 {
+			shift := 64 - off - width
+			aa := acc[:len(words)]
+			for j := range words {
+				word := uint32(words[j]>>shift) & wmask
+				dI := yI - tab[word>>cc&mask]
+				dQ := yQ - tab[word&mask]
+				aa[j] += dI*dI + dQ*dQ
+			}
+		} else {
+			// The range straddles into the next word; roll the word buffer
+			// forward to it, since later passes start there.
+			hiBits := 64 - off
+			loBits := width - hiBits
+			hmask := uint64(1)<<hiBits - 1
+			ww := words[:len(spines)]
+			aa := acc[:len(spines)]
+			for j, spine := range spines {
+				w2 := fam.Word(spine, idx+1)
+				word := uint32((ww[j]&hmask)<<loBits | w2>>(64-loBits))
+				ww[j] = w2
+				dI := yI - tab[word>>cc&mask]
+				dQ := yQ - tab[word&mask]
+				aa[j] += dI*dI + dQ*dQ
+			}
+			curIdx = idx + 1
+		}
 	}
 }
 
@@ -493,9 +532,10 @@ func (c *awgnQuantCoster) prepareLevel(level int) {
 	}
 }
 
-// quantFoldChunk bounds the batch slice the interchanged fold processes per
-// outer pass, keeping its word/accumulator scratch inside the L1/L2 caches
-// even when a refresh folds a whole cached level at once.
+// quantFoldChunk bounds the batch slice the interchanged (term-outer) folds
+// of both AWGN metrics process per outer pass, keeping their word and
+// accumulator scratch inside the L1/L2 caches even when a refresh folds a
+// whole cached level at once.
 const quantFoldChunk = 1024
 
 // costTailMany folds through the caller's batch scratch: the coster itself

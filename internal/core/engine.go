@@ -10,6 +10,11 @@ import "slices"
 // by the parent-major index — so the expansion, refresh and selection loops
 // run flat over dense arrays instead of chasing per-node structs.
 //
+// A level with no observations and more children than it keeps is not
+// expanded at all: its children's path costs equal their parents', so the
+// survivors follow from the parents' order and only they are hashed (see
+// selectUnobserved). Every other level expands all children of its parents.
+//
 // Selection is candidate-buffered quickselect rather than a bounded heap:
 // expansion loops append (cost, key, spine) candidates — after a warm-up, a
 // single predictable bound test rejects most of them — and the buffer is
@@ -285,11 +290,11 @@ type cachedLevel[C costValue] struct {
 	prev  frontier[C]
 }
 
-// maxCachedChildren bounds the memory the workspace spends per level: an
-// unobserved level expanded from a maxCand-wide parent frontier can produce
-// maxCand·2^k children, far more than is worth materializing. Levels whose
-// expansion exceeds the bound are re-expanded from scratch on every attempt
-// (exactly the pre-incremental behavior) instead of cached.
+// maxCachedChildren bounds the memory the workspace spends per level: the
+// observed level below an unobserved one expands a maxCand-wide parent
+// frontier into maxCand·2^k children, far more than is worth materializing.
+// Levels whose expansion exceeds the bound are re-expanded from scratch on
+// every attempt (exactly the pre-incremental behavior) instead of cached.
 const maxCachedChildren = 1 << 17
 
 // workspace is the persistent state that makes repeated decode attempts
@@ -327,6 +332,9 @@ type workspace[C costValue] struct {
 	// MaxCandidates entries), used to match persisting parents between
 	// attempts so their children blocks can be reused wholesale.
 	pidx spineIndex
+	// rank is selectUnobserved's scratch: the parent frontier as
+	// (path cost, index) candidates.
+	rank []cand[C]
 	// laScore/laKeep are lookahead-narrowing scratch: per-candidate probe
 	// scores and the retained-set marks.
 	laScore []C
@@ -402,7 +410,8 @@ type foldScratch struct {
 	acc   []int64
 }
 
-// Region kinds mirror the three expansion paths of engine.run.
+// Region kinds mirror the three parallel expansion paths of engine.run
+// (direct selection of a truncated unobserved level runs serially).
 const (
 	regionRefresh = iota
 	regionRebuild
@@ -526,13 +535,14 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 		if nObs == 0 {
 			keep = d.maxCand
 			// Bubble narrowing: under the exact search an unobserved level
-			// keeps every candidate (maxCand), because with no local evidence
+			// keeps up to maxCand candidates, because with no local evidence
 			// any child might win once observations arrive — and with sparse
-			// schedules that breadth, times 2^k children each, dominates the
-			// whole session's expansion count. The approximate search keeps
-			// only the children of the W cheapest parents instead. Children of
-			// a parent all inherit its path cost, so top-(W*nSeg) selection is
-			// exactly "children of the W cheapest parents".
+			// schedules that breadth dominates the whole session's work. The
+			// approximate search keeps only the children of the W cheapest
+			// parents instead. Children of a parent all inherit its path cost,
+			// so top-(W*nSeg) selection is exactly "children of the W cheapest
+			// parents", and both searches select such a level directly (see
+			// selectUnobserved) whenever it has more children than it keeps.
 			//
 			// This is an approximation, not a free cut. A deeper, observed
 			// level's symbols depend on this level's segment through the spine
@@ -547,6 +557,17 @@ func (e *engine[C, O]) run(coster levelCoster[C], obs any, gen, epoch, cleanGen 
 		ws.sel.reset(keep)
 
 		switch {
+		case nObs == 0 && parent.len()*nSeg > keep:
+			// Truncated unobserved level: the keep survivors are known before
+			// any child is hashed (see selectUnobserved), so only they are
+			// expanded. The children are not cached, exactly like the stream
+			// path's; the level is cheap to redo on the next attempt.
+			lv.childSpine = lv.childSpine[:0]
+			lv.childLocal = lv.childLocal[:0]
+			lv.valid = false
+			lv.childObs = 0
+			d.nodesExpanded += e.selectUnobserved(parent, t, nSeg, keep, &ws.sel)
+
 		case parentOK && lv.valid:
 			// Cached expansion: fold in only the observations that arrived
 			// since the last attempt, one term at a time so the running sum
@@ -804,6 +825,47 @@ func (e *engine[C, O]) streamRange(coster levelCoster[C], parent *frontier[C], t
 		}
 	}
 	return (hi - lo) * nSeg
+}
+
+// selectUnobserved fills sel with the keep smallest children of a level
+// that has no observations and more than keep children. Every such child's
+// path cost is exactly its parent's — the cost fold from zero clears the
+// local cost and the path add adds zero — so under the strict (cost, parent,
+// seg) order the keep smallest children are the leading segments of the
+// parents taken in (cost, index) order: the whole families of the cheapest
+// keep/nSeg parents and the first keep%nSeg segments of the next one. The
+// ceil(keep/nSeg) parents are partially selected, only the keep survivors
+// are hashed, and canonical() sorts them as for any other level. The rule is
+// the same for the exact search and for the approximate search's bubble,
+// which differ only in keep. Returns the number of nodes expanded.
+func (e *engine[C, O]) selectUnobserved(parent *frontier[C], t, nSeg, keep int, sel *selector[C]) int {
+	d := e.d
+	m := (keep + nSeg - 1) / nSeg
+	ranked := sized(e.ws.rank, parent.len())
+	e.ws.rank = ranked
+	for i := range ranked {
+		var base C
+		if t > 0 {
+			base = parent.cost[i]
+		}
+		ranked[i] = cand[C]{cost: e.ops.Add(base, 0), key: int64(i), spine: parent.spine[i]}
+	}
+	selectSmallest(ranked, m)
+	// ranked[m-1] is the largest of the m selected parents: the only one
+	// whose family can be cut short. Exactly keep candidates go into sel,
+	// below its compaction limit, so they are appended directly.
+	for r, p := range ranked[:m] {
+		n := nSeg
+		if r == m-1 {
+			n = keep - (m-1)*nSeg
+		}
+		keyBase := p.key << 16
+		for seg := 0; seg < n; seg++ {
+			sel.nodes = append(sel.nodes, cand[C]{cost: p.cost, key: keyBase | int64(seg),
+				spine: d.family.Next(p.spine, uint64(seg))})
+		}
+	}
+	return keep
 }
 
 // runRegion executes one sharded level expansion on w workers — the calling

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,20 +16,45 @@ import (
 // same cost, same NodesExpanded/NodesRefreshed accounting — with incremental
 // reuse on or off, over both channel kinds.
 
+// baseProcs is GOMAXPROCS as the test binary started, before any test
+// raised it. Worker sweeps derive from it, so oversubscribing does not move
+// them.
+var baseProcs = runtime.GOMAXPROCS(0)
+
+// maxTestWorkers is the largest explicit worker count the tests in this file
+// configure (TestSetParallelismMidStream cycles up to 5).
+const maxTestWorkers = 5
+
+// oversubscribe raises GOMAXPROCS above maxWorkers for the rest of the test,
+// restoring it afterwards. Every shard of a parallel region then runs on its
+// own P, so on a runner with fewer cores than workers the shards really
+// preempt each other instead of running one after another.
+func oversubscribe(t *testing.T, maxWorkers int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(0)
+	if maxWorkers < old {
+		return
+	}
+	runtime.GOMAXPROCS(maxWorkers + 1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 // forceParallel lowers the sharding thresholds so that even the small trees
-// used by tests exercise the multi-worker paths, restoring them afterwards.
+// used by tests exercise the multi-worker paths, and oversubscribes
+// GOMAXPROCS so the shards interleave; both are restored afterwards.
 func forceParallel(t *testing.T) {
 	t.Helper()
 	oldMin, oldShard := minParallelChildren, minShardChildren
 	minParallelChildren, minShardChildren = 1, 1
 	t.Cleanup(func() { minParallelChildren, minShardChildren = oldMin, oldShard })
+	oversubscribe(t, max(slices.Max(parallelisms()), maxTestWorkers))
 }
 
 // parallelisms returns the worker counts the equivalence tests sweep,
-// including GOMAXPROCS as required by the acceptance criteria.
+// including the starting GOMAXPROCS as required by the acceptance criteria.
 func parallelisms() []int {
 	ps := []int{1, 3}
-	if g := runtime.GOMAXPROCS(0); g != 1 && g != 3 {
+	if g := baseProcs; g != 1 && g != 3 {
 		ps = append(ps, g)
 	}
 	return ps

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
+	"slices"
 	"testing"
 
 	"spinal/internal/rng"
@@ -31,9 +31,9 @@ const (
 )
 
 // exactPinWorkers returns the worker counts the matrix sweeps: the serial
-// path, an uneven shard count, and the GOMAXPROCS default.
+// path, an uneven shard count, and the starting GOMAXPROCS.
 func exactPinWorkers() []int {
-	return []int{1, 3, runtime.GOMAXPROCS(0)}
+	return []int{1, 3, baseProcs}
 }
 
 // awgnPinObservations writes the per-trial received symbols for the AWGN
@@ -177,11 +177,13 @@ var exactPinWorkGolden = map[string]uint64{
 	"bsc/int32/scratch":    0x9e2c2d02c5e24b85,
 }
 
-// TestExactSearchPinnedToPreApproxDecoder is the satellite-3 pin: exact-mode
-// decodes across workers {1,3,GOMAXPROCS} × metric {float64,int32} ×
-// incremental {on,off} × channel {AWGN,BSC} must reproduce the golden
-// fingerprints recorded before the approximate-search engine changes.
+// TestExactSearchPinnedToPreApproxDecoder: exact-mode decodes across workers
+// {1,3,GOMAXPROCS} × metric {float64,int32} × incremental {on,off} × channel
+// {AWGN,BSC} must reproduce the golden fingerprints recorded before the
+// approximate-search engine changes. GOMAXPROCS is raised above the largest
+// worker count so the shards interleave on any runner.
 func TestExactSearchPinnedToPreApproxDecoder(t *testing.T) {
+	oversubscribe(t, slices.Max(exactPinWorkers()))
 	for _, bits := range []bool{false, true} {
 		kind := "awgn"
 		if bits {
@@ -205,6 +207,93 @@ func TestExactSearchPinnedToPreApproxDecoder(t *testing.T) {
 						t.Errorf("work fingerprint %s (workers=%d) = %#016x, want %#016x",
 							wKey, workers, work, want)
 					}
+				}
+			}
+		}
+	}
+}
+
+// The striped pin covers what the sequential one cannot reach: decode
+// attempts on a punctured first pass, where most tree levels have no
+// observations yet and the exact search truncates them to maxCand nodes.
+// Its golden result fingerprint was recorded from the decoder before
+// unobserved truncated levels were selected directly instead of expanded
+// and streamed through the selector.
+const (
+	stripedPinTrials  = 2
+	stripedPinSymbols = 16 // the first two striped passes of a 64-bit message
+	stripedPinBeam    = 16
+)
+
+func stripedPinParams() Params {
+	return Params{K: 8, C: 10, MessageBits: 64, Seed: DefaultSeed}
+}
+
+// stripedPinFingerprint decodes after every symbol of the first two striped
+// (stride-8) passes and fingerprints each attempt's message and exact cost.
+func stripedPinFingerprint(t *testing.T, metric CostMetric, workers int, incremental bool) uint64 {
+	t.Helper()
+	p := stripedPinParams()
+	dec, err := NewBeamDecoder(p, stripedPinBeam)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dec.Close()
+	if err := dec.SetCostMetric(metric); err != nil {
+		t.Fatal(err)
+	}
+	dec.SetIncremental(incremental)
+	dec.SetParallelism(workers)
+	sched, err := NewStripedSchedule(p.NumSegments(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for trial := 0; trial < stripedPinTrials; trial++ {
+		msg := RandomMessage(rng.New(uint64(trial+1)*0x3c6ef372), p.MessageBits)
+		enc, err := NewEncoder(p, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noise := rng.New(uint64(trial+1) * 0xa54ff53a)
+		obs, err := NewObservations(p.NumSegments())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < stripedPinSymbols; i++ {
+			pos := sched.Pos(i)
+			y := enc.SymbolAt(pos) + complex(0.22*noise.NormFloat64(), 0.22*noise.NormFloat64())
+			if err := obs.Add(pos, y); err != nil {
+				t.Fatal(err)
+			}
+			out, err := dec.Decode(obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%d/%d:%x:%x;", trial, i, out.Message, math.Float64bits(out.Cost))
+		}
+	}
+	return h.Sum64()
+}
+
+var stripedPinResultGolden = map[CostMetric]uint64{
+	CostFloat64: 0x99877d0e8d5370db,
+	CostInt32:   0xe15178695c12a9bd,
+}
+
+// TestExactSearchPinnedOnStripedStream pins exact-mode decodes of a punctured
+// first pass across workers {1,3,GOMAXPROCS} × metric {float64,int32} ×
+// incremental {on,off} to golden result fingerprints, with GOMAXPROCS raised
+// above the largest worker count like the sequential pin.
+func TestExactSearchPinnedOnStripedStream(t *testing.T) {
+	oversubscribe(t, slices.Max(exactPinWorkers()))
+	for _, metric := range []CostMetric{CostFloat64, CostInt32} {
+		for _, incremental := range []bool{true, false} {
+			for _, workers := range exactPinWorkers() {
+				got := stripedPinFingerprint(t, metric, workers, incremental)
+				if want := stripedPinResultGolden[metric]; got != want {
+					t.Errorf("striped result fingerprint %s (workers=%d inc=%v) = %#016x, want %#016x",
+						metric, workers, incremental, got, want)
 				}
 			}
 		}

@@ -1002,6 +1002,8 @@ func (e *flowEngine) searchStats() map[string]uint64 {
 }
 
 // noteSpend charges freshly expanded decode-tree nodes to a flow's ledger.
+// A truncated level with no observations charges only the nodes it keeps
+// (see core.DecodeResult.NodesExpanded), not every child of its parents.
 func (e *flowEngine) noteSpend(flow uint32, nodes int64) {
 	if e.budget <= 0 || nodes == 0 {
 		return

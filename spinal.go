@@ -39,6 +39,7 @@ package spinal
 
 import (
 	"fmt"
+	"runtime"
 
 	"spinal/internal/constellation"
 	"spinal/internal/core"
@@ -152,6 +153,9 @@ func (c Config) withDefaults() Config {
 type Code struct {
 	cfg    Config
 	params core.Params
+	// pool recycles the decoders of the Transmit entry points: one per
+	// concurrent caller, up to GOMAXPROCS kept idle between messages.
+	pool *core.DecoderPool
 }
 
 // NewCode validates the configuration and returns a Code.
@@ -177,7 +181,7 @@ func NewCode(cfg Config) (*Code, error) {
 	if cfg.BeamWidth < 1 {
 		return nil, fmt.Errorf("spinal: beam width must be at least 1")
 	}
-	return &Code{cfg: cfg, params: params}, nil
+	return &Code{cfg: cfg, params: params, pool: core.NewDecoderPool(runtime.GOMAXPROCS(0))}, nil
 }
 
 // Config returns the configuration the code was built with (with defaults
@@ -465,7 +469,9 @@ type TransmitResult struct {
 
 // sessionConfig assembles the core session configuration shared by all
 // transmit entry points, with a genie verifier filled in when the caller
-// passes none.
+// passes none. Sessions lease their decoder from the code's pool, which is
+// bit-identical to building a fresh one but reuses its workspace and worker
+// goroutines across messages.
 func (c *Code) sessionConfig(message []byte, verify func([]byte) bool, maxSymbols int) (core.SessionConfig, core.Verifier, error) {
 	if verify == nil {
 		verify = core.GenieVerifier(message, c.cfg.MessageBits)
@@ -482,6 +488,7 @@ func (c *Code) sessionConfig(message []byte, verify func([]byte) bool, maxSymbol
 		Parallelism: c.cfg.Workers,
 		CostMetric:  c.cfg.CostMetric,
 		Search:      c.cfg.Search,
+		Pool:        c.pool,
 	}, core.Verifier(verify), nil
 }
 
