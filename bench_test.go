@@ -144,19 +144,24 @@ func BenchmarkDecoder(b *testing.B) {
 	}
 	msg := spinal.RandomMessage(256, 2)
 	stream, _ := code.EncodeStream(msg)
-	ch, _ := spinal.AWGNChannel(15, 3)
+	ch, _ := spinal.NewAWGN(15, 3)
 	dec, _ := code.NewDecoder()
-	for i := 0; i < 2*code.NumSegments(); i++ {
+	tx, rx := make([]complex128, 1), make([]complex128, 1)
+	observe := func() error {
 		sym := stream.Next()
-		if err := dec.Observe(sym.Pos, ch(sym.Value)); err != nil {
+		tx[0] = sym.Value
+		ch.CorruptBlock(rx, tx)
+		return dec.Observe(sym.Pos, rx[0])
+	}
+	for i := 0; i < 2*code.NumSegments(); i++ {
+		if err := observe(); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sym := stream.Next()
-		if err := dec.Observe(sym.Pos, ch(sym.Value)); err != nil {
+		if err := observe(); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := dec.Decode(); err != nil {
@@ -192,11 +197,11 @@ func BenchmarkIncrementalDecode(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					res, err := core.RunSymbolSession(core.SessionConfig{
+					res, err := core.RunChannelSession(core.SessionConfig{
 						Params:             params,
 						BeamWidth:          16,
 						DisableIncremental: mode == "from-scratch",
-					}, msg, radio.Corrupt, core.GenieVerifier(msg, params.MessageBits))
+					}, msg, radio, core.GenieVerifier(msg, params.MessageBits))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -430,7 +435,7 @@ func BenchmarkApproxDecode(b *testing.B) {
 // BenchmarkBatchObserve isolates the receive hot path the batch-first API
 // vectorizes: producing one pass of symbols, corrupting it, and folding it
 // into the decoder's observations — scalar (one schedule call, one encoder
-// call, one channel closure call and one Observe per symbol) versus batch
+// call, one one-symbol CorruptBlock call and one Observe per symbol) versus batch
 // (one NextBatch, one CorruptBlock, one ObserveBatch per pass, with a single
 // generation bump). The symbols folded in are bit-identical between the two
 // modes (TestObserveBatchMatchesObserve enforces it); this benchmark isolates
@@ -445,7 +450,7 @@ func BenchmarkBatchObserve(b *testing.B) {
 	const passes = 4
 
 	b.Run("scalar", func(b *testing.B) {
-		ch, err := spinal.AWGNChannel(15, 6)
+		ch, err := spinal.NewAWGN(15, 6)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -453,6 +458,7 @@ func BenchmarkBatchObserve(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		tx, rx := make([]complex128, 1), make([]complex128, 1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -463,7 +469,9 @@ func BenchmarkBatchObserve(b *testing.B) {
 			}
 			for j := 0; j < passes*nseg; j++ {
 				sym := stream.Next()
-				if err := dec.Observe(sym.Pos, ch(sym.Value)); err != nil {
+				tx[0] = sym.Value
+				ch.CorruptBlock(rx, tx)
+				if err := dec.Observe(sym.Pos, rx[0]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -506,11 +514,9 @@ func BenchmarkBatchObserve(b *testing.B) {
 	})
 }
 
-// BenchmarkTransmitChannel measures the full rateless loop through the
-// channel-interface entry point (Code.TransmitOver) against the legacy
-// closure adapter (Code.Transmit), on static AWGN and on the time-varying
-// channels only the interface can express. Decodes are bit-identical between
-// the two entry points (TestTransmitOverMatchesTransmit enforces it).
+// BenchmarkTransmitChannel measures the full rateless loop through
+// Code.TransmitOver on static AWGN and on time-varying channels (Rayleigh
+// block fading, a Gilbert-Elliott trace).
 func BenchmarkTransmitChannel(b *testing.B) {
 	code, err := spinal.NewCode(spinal.Config{MessageBits: 256})
 	if err != nil {
@@ -542,15 +548,6 @@ func BenchmarkTransmitChannel(b *testing.B) {
 				return nil, err
 			}
 			return code.TransmitOver(msg, ch, nil, 0)
-		})
-	})
-	b.Run("awgn-closure", func(b *testing.B) {
-		run(b, func(i int) (*spinal.TransmitResult, error) {
-			ch, err := spinal.AWGNChannel(15, uint64(i)+1)
-			if err != nil {
-				return nil, err
-			}
-			return code.Transmit(msg, ch, nil, 0)
 		})
 	})
 	b.Run("rayleigh", func(b *testing.B) {
@@ -723,9 +720,9 @@ func BenchmarkAttemptPolicy(b *testing.B) {
 					b.Fatal(err)
 				}
 				sched, _ := core.NewStripedSchedule(params.NumSegments(), 8)
-				res, err := core.RunSymbolSession(core.SessionConfig{
+				res, err := core.RunChannelSession(core.SessionConfig{
 					Params: params, BeamWidth: 16, Schedule: sched, Attempts: policy,
-				}, msg, ch.Corrupt, core.GenieVerifier(msg, params.MessageBits))
+				}, msg, ch, core.GenieVerifier(msg, params.MessageBits))
 				if err != nil {
 					b.Fatal(err)
 				}

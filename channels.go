@@ -2,7 +2,6 @@ package spinal
 
 import (
 	"fmt"
-	"strings"
 
 	"spinal/internal/channel"
 	"spinal/internal/fading"
@@ -10,10 +9,10 @@ import (
 	"spinal/internal/rng"
 )
 
-// This file defines the first-class channel API: channels are interfaces
-// that corrupt whole blocks of symbols and expose their metadata, rather
-// than bare closures. The closure-returning helpers in channel.go remain as
-// thin adapters over these constructors for existing callers.
+// This file is the channel API. A channel is one small, block-oriented
+// contract, declared once in internal/channel and re-exported here by alias:
+// the models below, the impairment pipelines and anything a caller writes
+// implement it, and every transmit loop consumes it.
 
 // Channel is a symbol channel: a model of everything between the encoder's
 // constellation points and the decoder's observations. Channels are
@@ -23,82 +22,52 @@ import (
 // one step per symbol, in slice order, so a block call is indistinguishable
 // from the equivalent sequence of per-symbol uses.
 //
+// CorruptBlock(dst, src) writes the received value of each transmitted
+// symbol src[i] into dst[i]; dst and src must have equal length and may
+// alias. NoiseVariance reports the total complex noise variance the channel
+// applies around its current state: the fixed sigma² of a static AWGN
+// channel, the average for block fading, and the instantaneous value the
+// trace dictates for a time-varying channel. Name identifies the channel in
+// experiment output.
+//
 // Channels are not safe for concurrent use; each transmission drives its own.
-type Channel interface {
-	// CorruptBlock writes the received value of each transmitted symbol
-	// src[i] into dst[i]. dst and src must have equal length and may alias
-	// (in-place corruption is allowed).
-	CorruptBlock(dst, src []complex128)
-	// NoiseVariance reports the total complex noise variance the channel
-	// applies around its current state: the fixed sigma² of a static AWGN
-	// channel, the average for block fading, and the instantaneous value the
-	// trace dictates for a time-varying channel.
-	NoiseVariance() float64
-	// Name identifies the channel in experiment output.
-	Name() string
-}
+type Channel = channel.Channel
 
 // BitChannel is the binary counterpart of Channel for codes transmitted one
-// coded bit per channel use (the paper's BSC variant): dst[i] receives the
-// possibly corrupted coded bit src[i].
-type BitChannel interface {
-	// CorruptBits writes the received value of each transmitted bit src[i]
-	// into dst[i]. dst and src must have equal length and may alias.
-	CorruptBits(dst, src []byte)
-	// Name identifies the channel in experiment output.
-	Name() string
-}
+// coded bit per channel use (the paper's BSC variant): CorruptBits(dst, src)
+// writes the possibly corrupted coded bit src[i] into dst[i].
+type BitChannel = channel.BitChannel
 
 // Erased is the value a binary erasure channel reports for an erased bit.
 const Erased = channel.Erased
 
-// symbolChannel wraps an internal block channel with facade metadata.
-type symbolChannel struct {
-	blk    channel.BlockChannel
-	sigma2 func() float64
-	name   string
+// asChannel and asBitChannel return a constructor's model as the interface,
+// keeping the interface nil on error.
+func asChannel[C Channel](ch C, err error) (Channel, error) {
+	if err != nil {
+		return nil, err
+	}
+	return ch, nil
 }
 
-func (c *symbolChannel) CorruptBlock(dst, src []complex128) { c.blk.CorruptBlock(dst, src) }
-func (c *symbolChannel) NoiseVariance() float64             { return c.sigma2() }
-func (c *symbolChannel) Name() string                       { return c.name }
-
-// bitChannel wraps an internal bit channel with facade metadata.
-type bitChannel struct {
-	corrupt func(dst, src []byte)
-	name    string
+func asBitChannel[C BitChannel](ch C, err error) (BitChannel, error) {
+	if err != nil {
+		return nil, err
+	}
+	return ch, nil
 }
-
-func (c *bitChannel) CorruptBits(dst, src []byte) { c.corrupt(dst, src) }
-func (c *bitChannel) Name() string                { return c.name }
 
 // NewAWGN returns an additive white Gaussian noise channel at the given SNR
 // (dB, relative to the unit-energy constellation), with a deterministic noise
 // stream derived from seed.
 func NewAWGN(snrDB float64, seed uint64) (Channel, error) {
-	ch, err := channel.NewAWGNdB(snrDB, rng.New(seed))
-	if err != nil {
-		return nil, err
-	}
-	return &symbolChannel{
-		blk:    ch,
-		sigma2: ch.Sigma2,
-		name:   fmt.Sprintf("awgn(%.1fdB)", snrDB),
-	}, nil
+	return asChannel(channel.NewAWGNdB(snrDB, rng.New(seed)))
 }
 
 // NewQuantizedAWGN returns the receive path of the paper's evaluation: AWGN
 // followed by an ADC quantizing each dimension to adcBits.
 func NewQuantizedAWGN(snrDB float64, adcBits int, seed uint64) (Channel, error) {
-	ch, err := channel.NewQuantizedAWGN(snrDB, adcBits, rng.New(seed))
-	if err != nil {
-		return nil, err
-	}
-	return &symbolChannel{
-		blk:    ch,
-		sigma2: ch.Sigma2,
-		name:   fmt.Sprintf("quantized-awgn(%.1fdB,%dbit)", snrDB, adcBits),
-	}, nil
+	return asChannel(channel.NewQuantizedAWGN(snrDB, adcBits, rng.New(seed)))
 }
 
 // NewRayleigh returns a Rayleigh block-fading channel: within each block of
@@ -108,56 +77,31 @@ func NewQuantizedAWGN(snrDB float64, adcBits int, seed uint64) (Channel, error) 
 // fast-fading regime the paper's ratelessness is designed for.
 // NoiseVariance reports the additive variance at the average SNR.
 func NewRayleigh(avgSNRdB float64, blockLen int, seed uint64) (Channel, error) {
-	ch, err := channel.NewRayleighBlock(avgSNRdB, blockLen, rng.New(seed))
-	if err != nil {
-		return nil, err
-	}
-	return &symbolChannel{
-		blk:    ch,
-		sigma2: ch.Sigma2,
-		name:   fmt.Sprintf("rayleigh(avg %.1fdB, Tc=%d)", avgSNRdB, blockLen),
-	}, nil
+	return asChannel(channel.NewRayleighBlock(avgSNRdB, blockLen, rng.New(seed)))
 }
 
 // NewBSC returns a binary symmetric channel with crossover probability p, for
 // the one-coded-bit-per-use variant of the code (see Code.TransmitBitsOver).
 func NewBSC(p float64, seed uint64) (BitChannel, error) {
-	ch, err := channel.NewBSC(p, rng.New(seed))
-	if err != nil {
-		return nil, err
-	}
-	return &bitChannel{
-		corrupt: ch.CorruptBits,
-		name:    fmt.Sprintf("bsc(p=%.3f)", p),
-	}, nil
+	return asBitChannel(channel.NewBSC(p, rng.New(seed)))
 }
 
 // NewBEC returns a binary erasure channel with erasure probability p; erased
 // positions carry the value Erased. The spinal bit decoder consumes hard 0/1
-// decisions only, so a BEC is not usable with TransmitBits directly — it is
-// exposed for fountain-style experiments and custom receive pipelines that
-// handle erasures themselves.
+// decisions only, so a BEC is not usable with TransmitBitsOver directly — it
+// is exposed for fountain-style experiments and custom receive pipelines
+// that handle erasures themselves.
 func NewBEC(p float64, seed uint64) (BitChannel, error) {
-	ch, err := channel.NewBEC(p, rng.New(seed))
-	if err != nil {
-		return nil, err
-	}
-	return &bitChannel{
-		corrupt: ch.CorruptBits,
-		name:    fmt.Sprintf("bec(p=%.3f)", p),
-	}, nil
+	return asBitChannel(channel.NewBEC(p, rng.New(seed)))
 }
 
 // Trace reports the instantaneous channel SNR (in dB) at a given symbol
 // index — the time-varying channel quality a rateless code absorbs without
-// ever estimating it. Traces are deterministic functions of their seed, so
-// the same trace can be replayed for every scheme under comparison.
-type Trace interface {
-	// SNRdB returns the channel SNR for the symbol at index i (i >= 0).
-	SNRdB(i int) float64
-	// Name identifies the trace in experiment output.
-	Name() string
-}
+// ever estimating it. SNRdB(i) returns the SNR for the symbol at index i
+// (i >= 0) and Name identifies the trace in experiment output. Traces are
+// deterministic functions of their seed, so the same trace can be replayed
+// for every scheme under comparison.
+type Trace = fading.Trace
 
 // ConstantTrace returns a trace with a fixed SNR, the degenerate case used
 // for calibration.
@@ -204,93 +148,29 @@ func NewImpairmentPipeline(spec string, seed uint64) (Channel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Build(seed)
+	return asChannel(s.Build(seed))
 }
 
-// composed chains channels: symbols pass through each in order, variances
-// add, names join with '+'.
-type composed struct {
-	chs []Channel
-}
-
-func (c *composed) CorruptBlock(dst, src []complex128) {
-	c.chs[0].CorruptBlock(dst, src)
-	for _, ch := range c.chs[1:] {
-		ch.CorruptBlock(dst, dst)
-	}
-}
-
-func (c *composed) NoiseVariance() float64 {
-	var sum float64
-	for _, ch := range c.chs {
-		sum += ch.NoiseVariance()
-	}
-	return sum
-}
-
-func (c *composed) Name() string {
-	names := make([]string, len(c.chs))
-	for i, ch := range c.chs {
-		names[i] = ch.Name()
-	}
-	return strings.Join(names, "+")
-}
-
-// Compose chains channels into one: each transmitted block passes through
-// every channel in order, NoiseVariance sums the parts, and the name joins
-// theirs with '+'. Use it to stack hand-built channels the spec grammar
-// cannot express (e.g. a quantized ADC front end over a trace channel).
+// Compose chains channels into one impairment pipeline: each transmitted
+// block passes through every channel in order, NoiseVariance sums the parts,
+// and the name joins theirs with '|' as the spec grammar does. Use it to
+// stack hand-built channels the spec grammar cannot express (e.g. a
+// quantized ADC front end over a trace channel).
 func Compose(stages ...Channel) (Channel, error) {
-	if len(stages) == 0 {
+	switch len(stages) {
+	case 0:
 		return nil, fmt.Errorf("spinal: Compose needs at least one channel")
-	}
-	if len(stages) == 1 {
+	case 1:
 		return stages[0], nil
 	}
-	return &composed{chs: stages}, nil
+	return impair.NewPipeline(stages...), nil
 }
-
-// traceChannel drives AWGN whose SNR follows a trace symbol by symbol.
-type traceChannel struct {
-	ch    *fading.Channel
-	trace Trace
-}
-
-func (c *traceChannel) CorruptBlock(dst, src []complex128) { c.ch.CorruptBlock(dst, src) }
-func (c *traceChannel) NoiseVariance() float64             { return c.ch.Sigma2() }
-func (c *traceChannel) Name() string                       { return c.trace.Name() }
 
 // NewTraceChannel returns a time-varying channel: symbol i experiences AWGN
 // at trace.SNRdB(i), with a noise stream derived from seed. NoiseVariance
 // reports the instantaneous variance the trace dictates for the next symbol.
 func NewTraceChannel(trace Trace, seed uint64) (Channel, error) {
-	ch, err := fading.NewChannel(trace, seed)
-	if err != nil {
-		return nil, err
-	}
-	return &traceChannel{ch: ch, trace: trace}, nil
-}
-
-// CorruptFunc adapts a Channel to the scalar closure form the v0 API used,
-// for code that still corrupts one symbol at a time. The closure consumes the
-// channel's noise stream exactly as block calls would, one symbol per call.
-func CorruptFunc(ch Channel) func(complex128) complex128 {
-	var buf [1]complex128
-	return func(x complex128) complex128 {
-		buf[0] = x
-		ch.CorruptBlock(buf[:], buf[:])
-		return buf[0]
-	}
-}
-
-// CorruptBitFunc is the binary counterpart of CorruptFunc.
-func CorruptBitFunc(ch BitChannel) func(byte) byte {
-	var buf [1]byte
-	return func(b byte) byte {
-		buf[0] = b
-		ch.CorruptBits(buf[:], buf[:])
-		return buf[0]
-	}
+	return impair.NewTraceNoise(trace, seed)
 }
 
 // NoiseVariance returns the total complex noise variance corresponding to an

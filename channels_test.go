@@ -80,54 +80,6 @@ func TestTraceChannelFollowsTrace(t *testing.T) {
 	}
 }
 
-// TestCorruptFuncMatchesBlock pins the scalar adapter against the block path:
-// the closure must consume the channel's noise stream exactly as block calls
-// would, so legacy scalar callers and batch callers see identical channels.
-func TestCorruptFuncMatchesBlock(t *testing.T) {
-	xs := make([]complex128, 64)
-	for i := range xs {
-		xs[i] = complex(float64(i%7)*0.2-0.6, float64(i%5)*0.25-0.5)
-	}
-	blockCh, err := spinal.NewAWGN(9, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]complex128, len(xs))
-	blockCh.CorruptBlock(want, xs)
-
-	scalarCh, err := spinal.NewAWGN(9, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := spinal.CorruptFunc(scalarCh)
-	for i, x := range xs {
-		if got := f(x); got != want[i] {
-			t.Fatalf("scalar adapter diverged from block path at symbol %d", i)
-		}
-	}
-
-	blockBits, err := spinal.NewBSC(0.3, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := make([]byte, 64)
-	for i := range tx {
-		tx[i] = byte(i & 1)
-	}
-	wantBits := make([]byte, len(tx))
-	blockBits.CorruptBits(wantBits, tx)
-	scalarBits, err := spinal.NewBSC(0.3, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := spinal.CorruptBitFunc(scalarBits)
-	for i, b := range tx {
-		if got := fb(b); got != wantBits[i] {
-			t.Fatalf("scalar bit adapter diverged at bit %d", i)
-		}
-	}
-}
-
 func TestBECMarksErasures(t *testing.T) {
 	bec, err := spinal.NewBEC(0.5, 21)
 	if err != nil {
@@ -223,7 +175,7 @@ func TestImpairmentPipelineFacade(t *testing.T) {
 
 // TestComposeChannels pins the Channel combinator: composition applies the
 // parts in order with their own noise streams, sums their variances and
-// joins their names.
+// joins their names as an impairment pipeline does.
 func TestComposeChannels(t *testing.T) {
 	if _, err := spinal.Compose(); err == nil {
 		t.Error("empty composition accepted")
@@ -253,7 +205,7 @@ func TestComposeChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := a1.Name() + "+" + r1.Name(); comp.Name() != want {
+	if want := a1.Name() + "|" + r1.Name(); comp.Name() != want {
 		t.Errorf("composed name %q, want %q", comp.Name(), want)
 	}
 	if want := a1.NoiseVariance() + r1.NoiseVariance(); math.Abs(comp.NoiseVariance()-want) > 1e-12 {
@@ -392,78 +344,10 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 	}
 }
 
-// TestTransmitOverMatchesTransmit pins the closure adapters against the
-// batch-first path: the same seeds must produce bit-identical transmissions
-// through Code.Transmit (closure) and Code.TransmitOver (Channel).
-func TestTransmitOverMatchesTransmit(t *testing.T) {
-	code, err := spinal.NewCode(spinal.Config{MessageBits: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := spinal.RandomMessage(96, 41)
-	closure, err := spinal.AWGNChannel(12, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaClosure, err := code.Transmit(msg, closure, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := spinal.NewAWGN(12, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaChannel, err := code.TransmitOver(msg, ch, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaClosure.Delivered != viaChannel.Delivered || viaClosure.Symbols != viaChannel.Symbols ||
-		viaClosure.Rate != viaChannel.Rate || !code.Equal(viaClosure.Decoded, viaChannel.Decoded) {
-		t.Fatalf("Transmit and TransmitOver diverged: %+v vs %+v", viaClosure, viaChannel)
-	}
-	if !viaChannel.Delivered {
-		t.Fatal("transmission at 12 dB failed")
-	}
-}
-
-// TestTransmitBitsOverMatchesTransmitBits is the BSC counterpart of the
-// adapter equivalence pin.
-func TestTransmitBitsOverMatchesTransmitBits(t *testing.T) {
-	code, err := spinal.NewCode(spinal.Config{MessageBits: 32, K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := spinal.RandomMessage(32, 51)
-	closure, err := spinal.BSCChannel(0.05, 52)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaClosure, err := code.TransmitBits(msg, closure, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := spinal.NewBSC(0.05, 52)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaChannel, err := code.TransmitBitsOver(msg, ch, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaClosure.Delivered != viaChannel.Delivered || viaClosure.Symbols != viaChannel.Symbols ||
-		!code.Equal(viaClosure.Decoded, viaChannel.Decoded) {
-		t.Fatalf("TransmitBits and TransmitBitsOver diverged: %+v vs %+v", viaClosure, viaChannel)
-	}
-	if !viaChannel.Delivered {
-		t.Fatal("BSC transmission at p=0.05 failed")
-	}
-}
-
 // TestTransmitOverTimeVaryingChannels exercises the fading channels end to
-// end: a bursty Gilbert-Elliott trace and a Rayleigh block-fading channel,
-// each driven both through the batch-first TransmitOver and — via the
-// CorruptFunc adapter — through the legacy Code.Transmit, with bit-identical
-// results between the two entry points.
+// end — a bursty Gilbert-Elliott trace, a Rayleigh block-fading channel and
+// a slow walk — and checks that an identically seeded channel replays the
+// identical transmission.
 func TestTransmitOverTimeVaryingChannels(t *testing.T) {
 	code, err := spinal.NewCode(spinal.Config{MessageBits: 64})
 	if err != nil {
@@ -506,21 +390,17 @@ func TestTransmitOverTimeVaryingChannels(t *testing.T) {
 			if !code.Equal(over.Decoded, msg) {
 				t.Fatalf("%s: decoded message mismatch", name)
 			}
-			// The same time-varying channel through the legacy closure-based
-			// Code.Transmit: a fresh, identically seeded channel must produce
-			// the identical transmission.
 			ch2, err := mk()
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy, err := code.Transmit(msg, spinal.CorruptFunc(ch2), nil, 0)
+			again, err := code.TransmitOver(msg, ch2, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if legacy.Delivered != over.Delivered || legacy.Symbols != over.Symbols ||
-				!code.Equal(legacy.Decoded, over.Decoded) {
-				t.Fatalf("%s: legacy Transmit diverged from TransmitOver: %+v vs %+v",
-					name, legacy, over)
+			if again.Delivered != over.Delivered || again.Symbols != over.Symbols ||
+				!code.Equal(again.Decoded, over.Decoded) {
+				t.Fatalf("%s: identically seeded channel diverged: %+v vs %+v", name, again, over)
 			}
 		})
 	}

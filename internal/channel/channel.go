@@ -2,7 +2,10 @@
 // evaluation: the complex additive white Gaussian noise (AWGN) channel with
 // an optional ADC quantizer, the binary symmetric channel (BSC), the binary
 // erasure channel (BEC, used by the fountain-code baseline), and a Rayleigh
-// block-fading extension.
+// block-fading extension. It also declares the one channel contract every
+// symbol channel in the module implements — these models, the impairment
+// stages and pipelines of internal/impair, and through aliases the public
+// spinal.Channel — and every transmission loop consumes.
 //
 // Transmitted symbols are assumed to have unit average energy (the
 // constellation package guarantees this), so an AWGN channel at signal-to-
@@ -17,52 +20,83 @@ import (
 	"spinal/internal/rng"
 )
 
-// SymbolChannel corrupts complex (I-Q) symbols.
+// SymbolChannel corrupts complex (I-Q) symbols one at a time.
 type SymbolChannel interface {
 	// Corrupt returns the received value for a single transmitted symbol.
 	Corrupt(x complex128) complex128
 }
 
 // BlockChannel corrupts whole blocks of symbols: dst[i] receives the channel
-// output for src[i], in slice order (stateful channels consume their noise
-// stream exactly as the equivalent sequence of Corrupt calls would). dst and
-// src have equal length and may alias. Every channel model in this package
-// implements it.
+// output for src[i], in slice order. dst and src have equal length and may
+// alias (in-place corruption is allowed). Channels are stateful — a
+// time-varying channel advances its fading or noise process by one step per
+// symbol — so a block call is indistinguishable from the equivalent sequence
+// of per-symbol uses, and block boundaries never change the stream.
 type BlockChannel interface {
 	CorruptBlock(dst, src []complex128)
 }
 
-// BitChannel corrupts individual bits (values 0 or 1).
+// Channel is a symbol channel: a model of everything between the encoder's
+// constellation points and the decoder's observations. It is deliberately
+// block-oriented — the rateless loop of the paper is pass-structured, with
+// symbols arriving a striped pass at a time.
+//
+// Channels are not safe for concurrent use; each transmission drives its own.
+type Channel interface {
+	BlockChannel
+	// NoiseVariance reports the total complex noise variance the channel
+	// applies around its current state: the fixed sigma² of a static AWGN
+	// channel, the average for block fading, and the instantaneous value a
+	// trace dictates for a time-varying channel.
+	NoiseVariance() float64
+	// Name identifies the channel in experiment output.
+	Name() string
+}
+
+// BitChannel is the binary counterpart of Channel for codes transmitted one
+// coded bit per channel use (the paper's BSC variant).
 type BitChannel interface {
-	// CorruptBit returns the received value of a single transmitted bit.
-	CorruptBit(b byte) byte
+	// CorruptBits writes the received value of each transmitted bit src[i]
+	// (0 or 1) into dst[i]. dst and src must have equal length and may alias.
+	CorruptBits(dst, src []byte)
+	// Name identifies the channel in experiment output.
+	Name() string
 }
 
 // AWGN is a discrete-time complex additive white Gaussian noise channel.
 type AWGN struct {
 	sigma2 float64
+	snrDB  float64
 	src    *rng.Rand
 }
 
 // NewAWGN returns an AWGN channel for the given linear SNR (signal power 1).
 // Use NewAWGNdB for an SNR expressed in decibels.
 func NewAWGN(snr float64, src *rng.Rand) (*AWGN, error) {
-	if snr <= 0 {
-		return nil, fmt.Errorf("channel: SNR must be positive, got %v", snr)
-	}
-	if src == nil {
-		return nil, fmt.Errorf("channel: nil random source")
-	}
-	return &AWGN{sigma2: 1 / snr, src: src}, nil
+	return newAWGN(snr, mathx.LinearToDB(snr), src)
 }
 
 // NewAWGNdB returns an AWGN channel for an SNR given in dB.
 func NewAWGNdB(snrDB float64, src *rng.Rand) (*AWGN, error) {
-	return NewAWGN(mathx.DBToLinear(snrDB), src)
+	return newAWGN(mathx.DBToLinear(snrDB), snrDB, src)
 }
 
-// Sigma2 returns the total complex noise variance (sum over both dimensions).
-func (a *AWGN) Sigma2() float64 { return a.sigma2 }
+func newAWGN(snr, snrDB float64, src *rng.Rand) (*AWGN, error) {
+	if !(snr > 0) || !mathx.IsFinite(snr) {
+		return nil, fmt.Errorf("channel: SNR must be positive and finite, got %v", snr)
+	}
+	if src == nil {
+		return nil, fmt.Errorf("channel: nil random source")
+	}
+	return &AWGN{sigma2: 1 / snr, snrDB: snrDB, src: src}, nil
+}
+
+// NoiseVariance returns the total complex noise variance (sum over both
+// dimensions).
+func (a *AWGN) NoiseVariance() float64 { return a.sigma2 }
+
+// Name identifies the channel by its SNR.
+func (a *AWGN) Name() string { return fmt.Sprintf("awgn(%.1fdB)", a.snrDB) }
 
 // SNR returns the linear signal-to-noise ratio of the channel.
 func (a *AWGN) SNR() float64 { return 1 / a.sigma2 }
@@ -131,7 +165,7 @@ func NewQuantizedAWGN(snrDB float64, adcBits int, src *rng.Rand) (*QuantizedAWGN
 	if err != nil {
 		return nil, err
 	}
-	perDim := math.Sqrt(awgn.Sigma2() / 2)
+	perDim := math.Sqrt(awgn.NoiseVariance() / 2)
 	limit := math.Sqrt(1.5) + 4*perDim // max linear-constellation amplitude + noise headroom
 	q, err := NewQuantizer(adcBits, limit)
 	if err != nil {
@@ -153,8 +187,13 @@ func (c *QuantizedAWGN) CorruptBlock(dst, src []complex128) {
 	}
 }
 
-// Sigma2 returns the underlying noise variance.
-func (c *QuantizedAWGN) Sigma2() float64 { return c.awgn.Sigma2() }
+// NoiseVariance returns the underlying noise variance.
+func (c *QuantizedAWGN) NoiseVariance() float64 { return c.awgn.NoiseVariance() }
+
+// Name identifies the channel by its SNR and ADC resolution.
+func (c *QuantizedAWGN) Name() string {
+	return fmt.Sprintf("quantized-awgn(%.1fdB,%dbit)", c.awgn.snrDB, c.q.bits)
+}
 
 // BSC is a binary symmetric channel with crossover probability p.
 type BSC struct {
@@ -164,7 +203,7 @@ type BSC struct {
 
 // NewBSC returns a BSC with crossover probability p in [0, 0.5].
 func NewBSC(p float64, src *rng.Rand) (*BSC, error) {
-	if p < 0 || p > 0.5 {
+	if !(p >= 0 && p <= 0.5) {
 		return nil, fmt.Errorf("channel: BSC crossover probability must be in [0,0.5], got %v", p)
 	}
 	if src == nil {
@@ -175,6 +214,9 @@ func NewBSC(p float64, src *rng.Rand) (*BSC, error) {
 
 // P returns the crossover probability.
 func (b *BSC) P() float64 { return b.p }
+
+// Name identifies the channel by its crossover probability.
+func (b *BSC) Name() string { return fmt.Sprintf("bsc(p=%.3f)", b.p) }
 
 // CorruptBit flips the bit with probability p.
 func (b *BSC) CorruptBit(bit byte) byte {
@@ -204,7 +246,7 @@ type BEC struct {
 
 // NewBEC returns a BEC with erasure probability p in [0, 1).
 func NewBEC(p float64, src *rng.Rand) (*BEC, error) {
-	if p < 0 || p >= 1 {
+	if !(p >= 0 && p < 1) {
 		return nil, fmt.Errorf("channel: BEC erasure probability must be in [0,1), got %v", p)
 	}
 	if src == nil {
@@ -215,6 +257,9 @@ func NewBEC(p float64, src *rng.Rand) (*BEC, error) {
 
 // P returns the erasure probability.
 func (b *BEC) P() float64 { return b.p }
+
+// Name identifies the channel by its erasure probability.
+func (b *BEC) Name() string { return fmt.Sprintf("bec(p=%.3f)", b.p) }
 
 // CorruptBit erases the bit with probability p.
 func (b *BEC) CorruptBit(bit byte) byte {
@@ -241,6 +286,7 @@ func (b *BEC) CorruptBits(dst, src []byte) {
 // varies per block. This models the fast-fading motivation in §1.
 type RayleighBlock struct {
 	sigma2   float64
+	avgSNRdB float64
 	blockLen int
 	src      *rng.Rand
 
@@ -254,14 +300,13 @@ func NewRayleighBlock(avgSNRdB float64, blockLen int, src *rng.Rand) (*RayleighB
 	if blockLen < 1 {
 		return nil, fmt.Errorf("channel: fading block length must be >= 1, got %d", blockLen)
 	}
-	snr := mathx.DBToLinear(avgSNRdB)
-	if snr <= 0 {
-		return nil, fmt.Errorf("channel: SNR must be positive")
+	if !mathx.IsFinite(avgSNRdB) {
+		return nil, fmt.Errorf("channel: average SNR must be finite, got %v dB", avgSNRdB)
 	}
 	if src == nil {
 		return nil, fmt.Errorf("channel: nil random source")
 	}
-	return &RayleighBlock{sigma2: 1 / snr, blockLen: blockLen, src: src}, nil
+	return &RayleighBlock{sigma2: 1 / mathx.DBToLinear(avgSNRdB), avgSNRdB: avgSNRdB, blockLen: blockLen, src: src}, nil
 }
 
 // Corrupt applies the current block gain, adds noise, and equalizes.
@@ -288,10 +333,15 @@ func (r *RayleighBlock) CorruptBlock(dst, src []complex128) {
 	}
 }
 
-// Sigma2 returns the additive noise variance at the configured average SNR
-// (the instantaneous post-equalization noise power varies with the block
-// gain).
-func (r *RayleighBlock) Sigma2() float64 { return r.sigma2 }
+// NoiseVariance returns the additive noise variance at the configured
+// average SNR (the instantaneous post-equalization noise power varies with
+// the block gain).
+func (r *RayleighBlock) NoiseVariance() float64 { return r.sigma2 }
+
+// Name identifies the channel by its average SNR and fading block length.
+func (r *RayleighBlock) Name() string {
+	return fmt.Sprintf("rayleigh(avg %.1fdB, Tc=%d)", r.avgSNRdB, r.blockLen)
+}
 
 // NoiseVariance returns the complex noise variance corresponding to an SNR in
 // dB for unit-energy signalling.

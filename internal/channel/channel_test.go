@@ -61,8 +61,8 @@ func TestAWGNSigmaAndSNR(t *testing.T) {
 	if math.Abs(ch.SNR()-100) > 1e-9 {
 		t.Fatalf("SNR = %v, want 100", ch.SNR())
 	}
-	if math.Abs(ch.Sigma2()-0.01) > 1e-12 {
-		t.Fatalf("Sigma2 = %v, want 0.01", ch.Sigma2())
+	if math.Abs(ch.NoiseVariance()-0.01) > 1e-12 {
+		t.Fatalf("NoiseVariance = %v, want 0.01", ch.NoiseVariance())
 	}
 }
 
@@ -154,8 +154,8 @@ func TestQuantizedAWGN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(ch.Sigma2()-0.01) > 1e-12 {
-		t.Fatalf("Sigma2 = %v", ch.Sigma2())
+	if math.Abs(ch.NoiseVariance()-0.01) > 1e-12 {
+		t.Fatalf("NoiseVariance = %v", ch.NoiseVariance())
 	}
 	// With 14 bits the quantization error should be tiny relative to noise.
 	var maxDev float64
@@ -313,4 +313,37 @@ func BenchmarkAWGNCorrupt(b *testing.B) {
 		acc += ch.Corrupt(complex(0.5, 0.5))
 	}
 	_ = acc
+}
+
+// Every model implements the module's one channel contract.
+var (
+	_ Channel    = (*AWGN)(nil)
+	_ Channel    = (*QuantizedAWGN)(nil)
+	_ Channel    = (*RayleighBlock)(nil)
+	_ BitChannel = (*BSC)(nil)
+	_ BitChannel = (*BEC)(nil)
+)
+
+// TestNonFiniteParametersRejected checks that no constructor lets a NaN or
+// infinite parameter through: a NaN SNR would emit NaN symbols and a NaN
+// probability silently reads as "never" in every Bernoulli draw.
+func TestNonFiniteParametersRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	src := rng.New(15)
+	for name, build := range map[string]func() error{
+		"awgn snr=nan":         func() error { _, err := NewAWGN(nan, src); return err },
+		"awgn snr=+inf":        func() error { _, err := NewAWGN(inf, src); return err },
+		"awgn snr=nan dB":      func() error { _, err := NewAWGNdB(nan, src); return err },
+		"awgn snr=+inf dB":     func() error { _, err := NewAWGNdB(inf, src); return err },
+		"quantized snr=nan dB": func() error { _, err := NewQuantizedAWGN(nan, 8, src); return err },
+		"bsc p=nan":            func() error { _, err := NewBSC(nan, src); return err },
+		"bec p=nan":            func() error { _, err := NewBEC(nan, src); return err },
+		"rayleigh avg=nan dB":  func() error { _, err := NewRayleighBlock(nan, 4, src); return err },
+		"rayleigh avg=+inf dB": func() error { _, err := NewRayleighBlock(inf, 4, src); return err },
+		"rayleigh avg=-inf dB": func() error { _, err := NewRayleighBlock(-inf, 4, src); return err },
+	} {
+		if build() == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }

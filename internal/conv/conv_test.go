@@ -146,7 +146,7 @@ func TestViterbiCorrectsErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		ch.CorruptBlock(syms, syms)
-		llr := mod.Demodulate(syms, ch.Sigma2())
+		llr := mod.Demodulate(syms, ch.NoiseVariance())
 		dec, err := c.Decode(llr, len(info))
 		if err != nil {
 			t.Fatal(err)
@@ -174,7 +174,7 @@ func TestViterbiDegradesGracefully(t *testing.T) {
 	coded, _ := c.Encode(info)
 	syms, _ := mod.Modulate(coded)
 	ch.CorruptBlock(syms, syms)
-	llr := mod.Demodulate(syms, ch.Sigma2())
+	llr := mod.Demodulate(syms, ch.NoiseVariance())
 	dec, err := c.Decode(llr, len(info))
 	if err != nil {
 		t.Fatal(err)

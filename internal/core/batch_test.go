@@ -324,7 +324,7 @@ func TestRunChannelSessionMatchesScalarReference(t *testing.T) {
 }
 
 // scalarReferenceSession is a line-for-line reimplementation of the
-// pre-batch RunSymbolSession loop, kept in the tests as the equivalence
+// historical per-symbol session loop, kept in the tests as the equivalence
 // reference for the batched transmission path.
 func scalarReferenceSession(cfg SessionConfig, message []byte, corrupt func(complex128) complex128, verify Verifier) (*Result, error) {
 	cfg, err := cfg.withDefaults()

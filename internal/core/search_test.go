@@ -324,6 +324,18 @@ func approxSessionStream(t *testing.T, trial, passes int) (msg []byte, flat []co
 	return msg, flat
 }
 
+// replayChannel hands out a recorded received stream in order, whatever was
+// transmitted.
+type replayChannel struct {
+	noiseless
+	flat []complex128
+	next int
+}
+
+func (r *replayChannel) CorruptBlock(dst, src []complex128) {
+	r.next += copy(dst, r.flat[r.next:r.next+len(src)])
+}
+
 // runApproxSession runs one fixed-seed session under a search config; the
 // session-level search tests compare its transcript across configs.
 func runApproxSession(t *testing.T, trial, passes int, search SearchConfig) *Result {
@@ -335,12 +347,7 @@ func runApproxSession(t *testing.T, trial, passes int, search SearchConfig) *Res
 		MaxSymbols: len(flat), Search: search,
 		Attempts: AttemptEveryPass{},
 	}
-	i := 0
-	res, err := RunSymbolSession(cfg, msg, func(complex128) complex128 {
-		y := flat[i]
-		i++
-		return y
-	}, GenieVerifier(msg, p.MessageBits))
+	res, err := RunChannelSession(cfg, msg, &replayChannel{flat: flat}, GenieVerifier(msg, p.MessageBits))
 	if err != nil {
 		t.Fatal(err)
 	}

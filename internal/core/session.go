@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"spinal/internal/channel"
+)
 
 // This file implements the rateless transmission loop of §3.2: the sender
 // keeps emitting symbols (in schedule order) and the receiver keeps feeding
@@ -230,42 +234,6 @@ func (r *Result) Rate(messageBits int) float64 {
 	return float64(messageBits) / float64(r.ChannelUses)
 }
 
-// BlockChannel corrupts a block of complex symbols: dst[i] receives the
-// channel output for src[i], in order (stateful channels consume their noise
-// stream in slice order, so a block call is indistinguishable from the
-// equivalent sequence of scalar calls). dst and src have equal length and may
-// alias. It is the batch contract the sessions — and the public facade's
-// Channel interface — are built on.
-type BlockChannel interface {
-	CorruptBlock(dst, src []complex128)
-}
-
-// BlockBitChannel is the binary counterpart of BlockChannel for the BSC
-// variant: dst[i] receives the (possibly flipped) coded bit src[i].
-type BlockBitChannel interface {
-	CorruptBits(dst, src []byte)
-}
-
-// funcSymbolChannel adapts a scalar corrupt closure to BlockChannel; the
-// closure is applied in slice order, so the adapter draws the exact same
-// noise stream the scalar transmission loop did.
-type funcSymbolChannel func(complex128) complex128
-
-func (f funcSymbolChannel) CorruptBlock(dst, src []complex128) {
-	for i, x := range src {
-		dst[i] = f(x)
-	}
-}
-
-// funcBitChannel adapts a scalar bit-corrupt closure to BlockBitChannel.
-type funcBitChannel func(byte) byte
-
-func (f funcBitChannel) CorruptBits(dst, src []byte) {
-	for i, b := range src {
-		dst[i] = f(b)
-	}
-}
-
 // maxSessionBatch bounds the scratch buffers of a session: stretches of the
 // stream with no decode attempt (the backoff policy skips whole pass ranges)
 // are emitted in sub-batches of at most this many symbols.
@@ -356,7 +324,7 @@ func sessionDecoder(cfg SessionConfig) (dec *BeamDecoder, lease *LeasedDecoder, 
 	return dec, lease, release, nil
 }
 
-// RunChannelSession transmits message over a BlockChannel until verify
+// RunChannelSession transmits message over a channel until verify
 // accepts a decode, returning the transcript of the transmission. This is the
 // batch-first transmission loop: symbols are generated, corrupted and folded
 // into the observations a whole inter-attempt stretch at a time (one striped
@@ -364,7 +332,7 @@ func sessionDecoder(cfg SessionConfig) (dec *BeamDecoder, lease *LeasedDecoder, 
 // one encoder fill, one channel call and one observation append per batch
 // instead of four calls per symbol. Attempt points, channel noise stream and
 // decode results are identical to the per-symbol loop this replaces.
-func RunChannelSession(cfg SessionConfig, message []byte, ch BlockChannel, verify Verifier) (*Result, error) {
+func RunChannelSession(cfg SessionConfig, message []byte, ch channel.Channel, verify Verifier) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -435,22 +403,10 @@ func RunChannelSession(cfg SessionConfig, message []byte, ch BlockChannel, verif
 	return res, nil
 }
 
-// RunSymbolSession transmits message over a symbol channel represented by a
-// scalar corrupt function until verify accepts a decode. It is a thin adapter
-// over RunChannelSession kept for closure-based callers; the adapter applies
-// the closure in stream order, so results are bit-identical to the historical
-// per-symbol loop.
-func RunSymbolSession(cfg SessionConfig, message []byte, corrupt func(complex128) complex128, verify Verifier) (*Result, error) {
-	if corrupt == nil {
-		return nil, fmt.Errorf("core: nil channel or verifier")
-	}
-	return RunChannelSession(cfg, message, funcSymbolChannel(corrupt), verify)
-}
-
 // RunBitChannelSession is the binary-channel counterpart of
 // RunChannelSession: the encoder emits one coded bit per (spine value, pass)
 // and the decoder uses the Hamming metric, which is the ML rule for the BSC.
-func RunBitChannelSession(cfg SessionConfig, message []byte, ch BlockBitChannel, verify Verifier) (*Result, error) {
+func RunBitChannelSession(cfg SessionConfig, message []byte, ch channel.BitChannel, verify Verifier) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -521,13 +477,4 @@ func RunBitChannelSession(cfg SessionConfig, message []byte, ch BlockBitChannel,
 	}
 	res.ChannelUses = cfg.MaxSymbols
 	return res, nil
-}
-
-// RunBitSession adapts a scalar bit-corrupt closure to RunBitChannelSession;
-// see RunSymbolSession.
-func RunBitSession(cfg SessionConfig, message []byte, corruptBit func(byte) byte, verify Verifier) (*Result, error) {
-	if corruptBit == nil {
-		return nil, fmt.Errorf("core: nil channel or verifier")
-	}
-	return RunBitChannelSession(cfg, message, funcBitChannel(corruptBit), verify)
 }

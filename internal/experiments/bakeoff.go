@@ -294,7 +294,7 @@ func bakeoffBaseline(scheme string, spec *impair.Spec, base uint64, trials, tria
 				return frameTrial{}, err
 			}
 			src := rng.New(base ^ (0x9e3779b97f4a7c15 * uint64(trial+1)))
-			res, err := sch.RunFrame(pl.Corrupt, staleVariance(pl), src)
+			res, err := sch.RunFrame(pl, staleVariance(pl), src)
 			if err != nil {
 				return frameTrial{}, err
 			}

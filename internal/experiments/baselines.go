@@ -200,7 +200,7 @@ func LDPCThroughputCurve(cfg LDPCConfig, snrsDB []float64) ([]ThroughputPoint, e
 				return frameTrial{}, err
 			}
 			ch.CorruptBlock(syms, syms)
-			llr := mod.Demodulate(syms, ch.Sigma2())
+			llr := mod.Demodulate(syms, ch.NoiseVariance())
 			res, err := dec.Decode(llr)
 			if err != nil {
 				return frameTrial{}, err
@@ -319,7 +319,7 @@ func ConvThroughputCurve(cfg ConvConfig, snrsDB []float64) ([]ThroughputPoint, e
 				return frameTrial{}, err
 			}
 			ch.CorruptBlock(syms, syms)
-			llr := mod.Demodulate(syms, ch.Sigma2())
+			llr := mod.Demodulate(syms, ch.NoiseVariance())
 			decoded, err := codec.Decode(llr[:codec.CodedLength(cfg.FrameBits)], cfg.FrameBits)
 			if err != nil {
 				return frameTrial{}, err
@@ -404,7 +404,7 @@ func HARQThroughputCurve(cfg HARQConfig, snrsDB []float64) ([]ThroughputPoint, e
 			if err != nil {
 				return frameTrial{}, err
 			}
-			res, err := scheme.RunFrame(ch.Corrupt, ch.Sigma2(), src)
+			res, err := scheme.RunFrame(ch, ch.NoiseVariance(), src)
 			if err != nil {
 				return frameTrial{}, err
 			}

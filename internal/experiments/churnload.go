@@ -184,7 +184,7 @@ func runChurnMode(cfg ChurnConfig, events []sim.Event, mode, specStr string, fau
 			return churnEvent{}, err
 		}
 		frames, err := link.EncodeFrames(lcfg, ev.Flow, ev.Msg, payload,
-			churnSymbolsPerFrame, churnFrameBudget, pl.Corrupt)
+			churnSymbolsPerFrame, churnFrameBudget, pl)
 		if err != nil {
 			return churnEvent{}, err
 		}

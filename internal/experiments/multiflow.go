@@ -77,7 +77,7 @@ func buildMultiFlowMessage(cfg SpinalConfig, snrDB float64, flow, msg uint32, pa
 	}
 	lcfg := link.Config{K: cfg.K, C: cfg.C, Seed: cfg.Seed, Schedule: link.ScheduleStriped8}
 	frames, err := link.EncodeFrames(lcfg, flow, msg, payload,
-		multiFlowSymbolsPerFrame, multiFlowFrameBudget, radio.Corrupt)
+		multiFlowSymbolsPerFrame, multiFlowFrameBudget, radio)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,8 @@
 // Package fading models time-varying wireless channels: SNR traces that
-// evolve over the duration of a transmission, the channels that apply them
-// symbol by symbol, and the delayed/noisy SNR estimators that reactive
-// bit-rate adaptation has to rely on.
+// evolve over the duration of a transmission and the delayed/noisy SNR
+// estimators that reactive bit-rate adaptation has to rely on. The channel
+// that applies a trace symbol by symbol is impair's trace-noise stage
+// (impair.NewTraceNoise).
 //
 // The introduction of the paper motivates rateless codes precisely with these
 // dynamics: channel conditions change "even at time-scales shorter than a
@@ -49,7 +50,6 @@ type GilbertElliott struct {
 	badSNR    float64
 	dwellGood int
 	dwellBad  int
-	seed      uint64
 
 	// lazily generated state sequence, extended on demand
 	states []bool // true = good
@@ -67,7 +67,6 @@ func NewGilbertElliott(goodSNR, badSNR float64, dwellGood, dwellBad int, seed ui
 		badSNR:    badSNR,
 		dwellGood: dwellGood,
 		dwellBad:  dwellBad,
-		seed:      seed,
 		src:       rng.New(seed),
 		states:    []bool{true},
 	}, nil
@@ -107,7 +106,6 @@ func (g *GilbertElliott) Name() string {
 type RayleighBlock struct {
 	avgSNRdB  float64
 	coherence int
-	seed      uint64
 
 	gains []float64
 	src   *rng.Rand
@@ -119,7 +117,7 @@ func NewRayleighBlock(avgSNRdB float64, coherence int, seed uint64) (*RayleighBl
 	if coherence < 1 {
 		return nil, fmt.Errorf("fading: coherence time must be at least one symbol")
 	}
-	return &RayleighBlock{avgSNRdB: avgSNRdB, coherence: coherence, seed: seed, src: rng.New(seed)}, nil
+	return &RayleighBlock{avgSNRdB: avgSNRdB, coherence: coherence, src: rng.New(seed)}, nil
 }
 
 // SNRdB implements Trace.
@@ -153,7 +151,6 @@ func (r *RayleighBlock) Name() string {
 type Walk struct {
 	min, max float64
 	stepdB   float64
-	seed     uint64
 
 	levels []float64
 	src    *rng.Rand
@@ -168,7 +165,7 @@ func NewWalk(min, max, stepdB float64, seed uint64) (*Walk, error) {
 	if stepdB <= 0 {
 		return nil, fmt.Errorf("fading: walk step must be positive")
 	}
-	w := &Walk{min: min, max: max, stepdB: stepdB, seed: seed, src: rng.New(seed)}
+	w := &Walk{min: min, max: max, stepdB: stepdB, src: rng.New(seed)}
 	w.levels = []float64{(min + max) / 2}
 	return w, nil
 }
@@ -260,51 +257,6 @@ func (d *Doppler) SNRdB(i int) float64 {
 // Name implements Trace.
 func (d *Doppler) Name() string {
 	return fmt.Sprintf("doppler(avg %.0fdB, fd=%.3g)", d.avgSNRdB, d.fd)
-}
-
-// Channel applies a trace to transmitted symbols: symbol i experiences AWGN
-// at trace.SNRdB(i). It implements the same Corrupt contract as the static
-// channels in internal/channel, tracking the symbol index internally.
-type Channel struct {
-	trace Trace
-	src   *rng.Rand
-	pos   int
-}
-
-// NewChannel returns a symbol channel driven by the trace, with its own noise
-// stream derived from seed.
-func NewChannel(trace Trace, seed uint64) (*Channel, error) {
-	if trace == nil {
-		return nil, fmt.Errorf("fading: nil trace")
-	}
-	return &Channel{trace: trace, src: rng.New(seed)}, nil
-}
-
-// Corrupt adds noise at the SNR the trace dictates for the current symbol.
-func (c *Channel) Corrupt(x complex128) complex128 {
-	snr := math.Pow(10, c.trace.SNRdB(c.pos)/10)
-	c.pos++
-	sigma2 := 1 / snr
-	return x + c.src.ComplexNormal(sigma2)
-}
-
-// CorruptBlock corrupts a block of symbols into dst, advancing the trace per
-// symbol exactly as scalar Corrupt calls would; dst and src have equal length
-// and may alias. It implements the same block contract as the channels in
-// internal/channel.
-func (c *Channel) CorruptBlock(dst, src []complex128) {
-	for i, x := range src {
-		dst[i] = c.Corrupt(x)
-	}
-}
-
-// Position returns how many symbols have passed through the channel.
-func (c *Channel) Position() int { return c.pos }
-
-// Sigma2 returns the complex noise variance the channel will apply to the
-// next symbol — the instantaneous quality the trace currently dictates.
-func (c *Channel) Sigma2() float64 {
-	return math.Pow(10, -c.trace.SNRdB(c.pos)/10)
 }
 
 // Estimator models the SNR measurement a reactive rate-adaptation scheme

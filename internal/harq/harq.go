@@ -11,6 +11,7 @@ package harq
 import (
 	"fmt"
 
+	"spinal/internal/channel"
 	"spinal/internal/ldpc"
 	"spinal/internal/modem"
 	"spinal/internal/rng"
@@ -101,12 +102,12 @@ type FrameResult struct {
 }
 
 // RunFrame simulates one frame: random information bits are encoded once and
-// transmitted repeatedly through corrupt (a symbol channel at the SNR under
-// test) with per-symbol LLRs accumulated across rounds; after every round the
+// transmitted repeatedly through ch (a symbol channel at the SNR under test)
+// with per-symbol LLRs accumulated across rounds; after every round the
 // accumulated LLRs are decoded. sigma2 is the noise variance the demapper
 // assumes, and src supplies the frame's information bits.
-func (s *Scheme) RunFrame(corrupt func(complex128) complex128, sigma2 float64, src *rng.Rand) (*FrameResult, error) {
-	if corrupt == nil || src == nil {
+func (s *Scheme) RunFrame(ch channel.BlockChannel, sigma2 float64, src *rng.Rand) (*FrameResult, error) {
+	if ch == nil || src == nil {
 		return nil, fmt.Errorf("harq: nil channel or random source")
 	}
 	info := make([]byte, s.code.K())
@@ -126,9 +127,7 @@ func (s *Scheme) RunFrame(corrupt func(complex128) complex128, sigma2 float64, s
 	res := &FrameResult{}
 	for round := 1; round <= s.cfg.MaxRounds; round++ {
 		rx := make([]complex128, len(syms))
-		for i, x := range syms {
-			rx[i] = corrupt(x)
-		}
+		ch.CorruptBlock(rx, syms)
 		llr := s.mod.Demodulate(rx, sigma2)
 		for i := range combined {
 			combined[i] += llr[i]

@@ -39,7 +39,7 @@ func TestRunFrameCleanChannelOneRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch, _ := channel.NewAWGNdB(20, rng.New(1))
-	res, err := s.RunFrame(ch.Corrupt, ch.Sigma2(), rng.New(2))
+	res, err := s.RunFrame(ch, ch.NoiseVariance(), rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRunFrameCombiningGain(t *testing.T) {
 	delivered, multiRound := 0, 0
 	const frames = 10
 	for i := 0; i < frames; i++ {
-		res, err := s.RunFrame(ch.Corrupt, ch.Sigma2(), src)
+		res, err := s.RunFrame(ch, ch.NoiseVariance(), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestRunFrameGivesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch, _ := channel.NewAWGNdB(-5, rng.New(5))
-	res, err := s.RunFrame(ch.Corrupt, ch.Sigma2(), rng.New(6))
+	res, err := s.RunFrame(ch, ch.NoiseVariance(), rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRunFrameNilArguments(t *testing.T) {
 		t.Error("nil channel accepted")
 	}
 	ch, _ := channel.NewAWGNdB(10, rng.New(1))
-	if _, err := s.RunFrame(ch.Corrupt, ch.Sigma2(), nil); err == nil {
+	if _, err := s.RunFrame(ch, ch.NoiseVariance(), nil); err == nil {
 		t.Error("nil source accepted")
 	}
 }

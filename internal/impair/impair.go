@@ -7,70 +7,55 @@
 // the paper's case for rateless codes is exactly that the code should not
 // need to know which stack it is facing.
 //
-// A Pipeline implements both the facade block-channel contract
-// (CorruptBlock/NoiseVariance/Name, so it drops into spinal.Code.TransmitOver
-// and the genie experiments) and the scalar channel.SymbolChannel contract
-// (Corrupt, so it drops under the link engine as a receiver radio or an
-// EncodeFrames corruptor). Stacks are described declaratively by a Spec — a
-// flag-parsable string like "ge(good=16,bad=3)|spike(prob=0.02,db=-3)" or the
-// equivalent JSON — and built with per-stage seeds derived from one base
-// seed, so the same spec and seed reproduce byte-identical noise streams
-// regardless of where the stack runs.
+// Every stage and every Pipeline is a channel.Channel, the module's one
+// symbol-channel contract, so a stack drops into spinal.Code.TransmitOver,
+// the genie experiments, link.EncodeFrames and — through the scalar Corrupt
+// method a Pipeline adds — under the link engine as a receiver radio.
+// Pipelines also chain arbitrary channel.Channel values, which is how the
+// facade composes hand-built channels. Stacks are described declaratively
+// by a Spec — a flag-parsable string like
+// "ge(good=16,bad=3)|spike(prob=0.02,db=-3)" or the equivalent JSON — and
+// built with per-stage seeds derived from one base seed, so the same spec
+// and seed reproduce byte-identical noise streams regardless of where the
+// stack runs.
 package impair
 
 import (
 	"fmt"
 	"strings"
 
+	"spinal/internal/channel"
 	"spinal/internal/fading"
 	"spinal/internal/mathx"
 	"spinal/internal/rng"
 )
 
-// Stage is one link in an impairment pipeline. A stage transforms a block of
-// symbols in transmission order, advancing its internal state (noise stream,
-// Markov chain, symbol position) by one step per symbol, so block boundaries
-// never affect the stream: corrupting one block of 2n symbols equals
-// corrupting two blocks of n.
-type Stage interface {
-	// Apply writes the impaired value of src[i] into dst[i]. dst and src
-	// have equal length and may alias.
-	Apply(dst, src []complex128)
-	// Variance reports the additive complex noise variance the stage will
-	// apply to the next symbol (zero for stages that transform or erase
-	// rather than add Gaussian noise).
-	Variance() float64
-	// Name identifies the stage in experiment output.
-	Name() string
-}
-
-// Pipeline chains stages in order: the output block of stage i is the input
-// of stage i+1, so additive stages stack their noise and an erasure stage
-// wipes whatever the stages before it produced. The zero-stage pipeline is
-// the identity channel.
+// Pipeline chains channels in order: the output block of stage i is the
+// input of stage i+1, so additive stages stack their noise and an erasure
+// stage wipes whatever the stages before it produced. Every stage advances
+// its state (noise stream, Markov chain, symbol position) by one step per
+// symbol, so block boundaries never affect the stream: corrupting one block
+// of 2n symbols equals corrupting two blocks of n. The zero-stage pipeline
+// is the identity channel.
 type Pipeline struct {
-	stages []Stage
+	stages []channel.Channel
 }
 
 // NewPipeline chains the given stages. Most callers build pipelines from a
 // Spec (see Spec.Build), which also derives the per-stage seeds.
-func NewPipeline(stages ...Stage) *Pipeline {
+func NewPipeline(stages ...channel.Channel) *Pipeline {
 	return &Pipeline{stages: stages}
 }
 
-// Stages returns the pipeline's stages in order.
-func (p *Pipeline) Stages() []Stage { return p.stages }
-
-// CorruptBlock implements the block-channel contract shared by
-// internal/channel and the spinal.Channel facade.
+// CorruptBlock passes the block through every stage in order.
 func (p *Pipeline) CorruptBlock(dst, src []complex128) {
 	if len(p.stages) == 0 {
 		copy(dst, src)
 		return
 	}
-	p.stages[0].Apply(dst, src)
+	p.stages[0].CorruptBlock(dst, src)
 	for _, s := range p.stages[1:] {
-		s.Apply(dst, dst)
+		s.CorruptBlock(dst, dst)
 	}
 }
 
@@ -90,7 +75,7 @@ func (p *Pipeline) Corrupt(x complex128) complex128 {
 func (p *Pipeline) NoiseVariance() float64 {
 	var v float64
 	for _, s := range p.stages {
-		v += s.Variance()
+		v += s.NoiseVariance()
 	}
 	return v
 }
@@ -131,15 +116,15 @@ type noiseStage struct {
 	pos    int
 }
 
-func (s *noiseStage) Apply(dst, src []complex128) {
+func (s *noiseStage) CorruptBlock(dst, src []complex128) {
 	for i, x := range src {
 		dst[i] = x + s.src.ComplexNormal(s.sigma2(s.pos))
 		s.pos++
 	}
 }
 
-func (s *noiseStage) Variance() float64 { return s.sigma2(s.pos) }
-func (s *noiseStage) Name() string      { return s.name }
+func (s *noiseStage) NoiseVariance() float64 { return s.sigma2(s.pos) }
+func (s *noiseStage) Name() string           { return s.name }
 
 // snrNoise builds an additive stage from an SNR-in-dB profile.
 func snrNoise(name string, seed uint64, snrdB func(i int) float64) *noiseStage {
@@ -157,6 +142,17 @@ func traceNoise(name string, seed uint64, trace fading.Trace) *noiseStage {
 	return snrNoise(name, seed^0xa54ff53a5f1d36f1, trace.SNRdB)
 }
 
+// NewTraceNoise returns a time-varying AWGN channel: symbol i experiences
+// AWGN at trace.SNRdB(i), with a noise stream drawn from rng.New(seed), and
+// NoiseVariance reports the variance the trace dictates for the next
+// symbol. The channel is named after the trace.
+func NewTraceNoise(trace fading.Trace, seed uint64) (channel.Channel, error) {
+	if trace == nil {
+		return nil, fmt.Errorf("impair: nil trace")
+	}
+	return snrNoise(trace.Name(), seed, trace.SNRdB), nil
+}
+
 // spikeStage adds strong interference in bursts with Markov arrivals: each
 // symbol, an idle stage enters a spike with probability prob, and an active
 // spike ends with probability 1/dwell (geometric dwell times). During a
@@ -171,7 +167,7 @@ type spikeStage struct {
 	active bool
 }
 
-func (s *spikeStage) Apply(dst, src []complex128) {
+func (s *spikeStage) CorruptBlock(dst, src []complex128) {
 	for i, x := range src {
 		if s.active {
 			if s.src.Bernoulli(s.endP) {
@@ -188,7 +184,7 @@ func (s *spikeStage) Apply(dst, src []complex128) {
 	}
 }
 
-func (s *spikeStage) Variance() float64 {
+func (s *spikeStage) NoiseVariance() float64 {
 	if s.active {
 		return s.sigma2
 	}
@@ -210,7 +206,7 @@ type eraseStage struct {
 	erasing  bool
 }
 
-func (s *eraseStage) Apply(dst, src []complex128) {
+func (s *eraseStage) CorruptBlock(dst, src []complex128) {
 	for i, x := range src {
 		if s.pos%s.blockLen == 0 {
 			s.erasing = s.src.Bernoulli(s.p)
@@ -224,8 +220,8 @@ func (s *eraseStage) Apply(dst, src []complex128) {
 	}
 }
 
-func (s *eraseStage) Variance() float64 { return 0 }
-func (s *eraseStage) Name() string      { return s.name }
+func (s *eraseStage) NoiseVariance() float64 { return 0 }
+func (s *eraseStage) Name() string           { return s.name }
 
 // buildStage constructs one stage from its spec and derived seed. The stage
 // vocabulary (see the package comment in spec.go for argument details):
@@ -239,55 +235,33 @@ func (s *eraseStage) Name() string      { return s.name }
 //	step     SNR step change
 //	spike    Markov-arrival interference bursts
 //	erase    per-block erasures
-func buildStage(sp StageSpec, seed uint64) (Stage, error) {
+func buildStage(sp StageSpec, seed uint64) (channel.Channel, error) {
 	a := args{stage: sp.Stage, m: sp.Args}
-	var st Stage
+	const traceSeed = 0x1f83d9abfb41bd6b
+	var st channel.Channel
 	switch sp.Stage {
 	case "awgn":
-		snr := a.get("snr", 10)
+		snr := a.db("snr", 10)
 		st = snrNoise(fmt.Sprintf("awgn(snr=%g)", snr), seed, func(int) float64 { return snr })
 	case "ge":
-		good := a.get("good", 15)
-		bad := a.get("bad", 0)
-		dgood := int(a.get("dgood", 300))
-		dbad := int(a.get("dbad", 100))
-		tr, err := fading.NewGilbertElliott(good, bad, dgood, dbad, seed^0x1f83d9abfb41bd6b)
-		if err != nil {
-			return nil, err
-		}
-		st = traceNoise(fmt.Sprintf("ge(good=%g,bad=%g,dgood=%d,dbad=%d)", good, bad, dgood, dbad), seed, tr)
+		good, bad := a.db("good", 15), a.db("bad", 0)
+		dgood, dbad := a.count("dgood", 300, 1), a.count("dbad", 100, 1)
+		tr, err := fading.NewGilbertElliott(good, bad, dgood, dbad, seed^traceSeed)
+		st = a.traced(fmt.Sprintf("ge(good=%g,bad=%g,dgood=%d,dbad=%d)", good, bad, dgood, dbad), seed, tr, err)
 	case "rayleigh":
-		avg := a.get("avg", 15)
-		tc := int(a.get("tc", 64))
-		tr, err := fading.NewRayleighBlock(avg, tc, seed^0x1f83d9abfb41bd6b)
-		if err != nil {
-			return nil, err
-		}
-		st = traceNoise(fmt.Sprintf("rayleigh(avg=%g,tc=%d)", avg, tc), seed, tr)
+		avg, tc := a.db("avg", 15), a.count("tc", 64, 1)
+		tr, err := fading.NewRayleighBlock(avg, tc, seed^traceSeed)
+		st = a.traced(fmt.Sprintf("rayleigh(avg=%g,tc=%d)", avg, tc), seed, tr, err)
 	case "doppler":
-		avg := a.get("avg", 15)
-		fd := a.get("fd", 0.01)
-		tr, err := fading.NewDoppler(avg, fd, seed^0x1f83d9abfb41bd6b)
-		if err != nil {
-			return nil, err
-		}
-		st = traceNoise(fmt.Sprintf("doppler(avg=%g,fd=%g)", avg, fd), seed, tr)
+		avg, fd := a.db("avg", 15), a.get("fd", 0.01)
+		tr, err := fading.NewDoppler(avg, fd, seed^traceSeed)
+		st = a.traced(fmt.Sprintf("doppler(avg=%g,fd=%g)", avg, fd), seed, tr, err)
 	case "walk":
-		lo := a.get("min", 0)
-		hi := a.get("max", 20)
-		step := a.get("step", 0.5)
-		tr, err := fading.NewWalk(lo, hi, step, seed^0x1f83d9abfb41bd6b)
-		if err != nil {
-			return nil, err
-		}
-		st = traceNoise(fmt.Sprintf("walk(min=%g,max=%g,step=%g)", lo, hi, step), seed, tr)
+		lo, hi, step := a.db("min", 0), a.db("max", 20), a.get("step", 0.5)
+		tr, err := fading.NewWalk(lo, hi, step, seed^traceSeed)
+		st = a.traced(fmt.Sprintf("walk(min=%g,max=%g,step=%g)", lo, hi, step), seed, tr, err)
 	case "ramp":
-		from := a.get("from", 20)
-		to := a.get("to", 5)
-		over := int(a.get("over", 5000))
-		if over < 1 {
-			return nil, fmt.Errorf("impair: ramp over=%d must be at least one symbol", over)
-		}
+		from, to, over := a.db("from", 20), a.db("to", 5), a.count("over", 5000, 1)
 		st = snrNoise(fmt.Sprintf("ramp(from=%g,to=%g,over=%d)", from, to, over), seed,
 			func(i int) float64 {
 				if i >= over {
@@ -296,9 +270,7 @@ func buildStage(sp StageSpec, seed uint64) (Stage, error) {
 				return from + (to-from)*float64(i)/float64(over)
 			})
 	case "step":
-		from := a.get("from", 20)
-		to := a.get("to", 5)
-		at := int(a.get("at", 2500))
+		from, to, at := a.db("from", 20), a.db("to", 5), a.count("at", 2500, 0)
 		st = snrNoise(fmt.Sprintf("step(from=%g,to=%g,at=%d)", from, to, at), seed,
 			func(i int) float64 {
 				if i < at {
@@ -307,14 +279,11 @@ func buildStage(sp StageSpec, seed uint64) (Stage, error) {
 				return to
 			})
 	case "spike":
-		prob := a.get("prob", 0.01)
+		prob := a.prob("prob", 0.01)
 		dwell := a.get("dwell", 20)
-		db := a.get("db", 0) // signal-to-interference ratio while spiking
-		if prob < 0 || prob > 1 {
-			return nil, fmt.Errorf("impair: spike prob=%g out of [0,1]", prob)
-		}
-		if dwell < 1 {
-			return nil, fmt.Errorf("impair: spike dwell=%g must be at least one symbol", dwell)
+		db := a.db("db", 0) // signal-to-interference ratio while spiking
+		if !(dwell >= 1) {
+			a.fail(fmt.Errorf("impair: spike dwell=%g must be at least one symbol", dwell))
 		}
 		st = &spikeStage{
 			name:   fmt.Sprintf("spike(prob=%g,dwell=%g,db=%g)", prob, dwell, db),
@@ -324,14 +293,7 @@ func buildStage(sp StageSpec, seed uint64) (Stage, error) {
 			src:    rng.New(seed),
 		}
 	case "erase":
-		p := a.get("p", 0.01)
-		blockLen := int(a.get("block", 16))
-		if p < 0 || p > 1 {
-			return nil, fmt.Errorf("impair: erase p=%g out of [0,1]", p)
-		}
-		if blockLen < 1 {
-			return nil, fmt.Errorf("impair: erase block=%d must be at least one symbol", blockLen)
-		}
+		p, blockLen := a.prob("p", 0.01), a.count("block", 16, 1)
 		st = &eraseStage{
 			name:     fmt.Sprintf("erase(p=%g,block=%d)", p, blockLen),
 			p:        p,
@@ -347,24 +309,85 @@ func buildStage(sp StageSpec, seed uint64) (Stage, error) {
 	return st, nil
 }
 
-// args validates a stage's argument map: get consumes known keys and err
-// reports any the stage did not recognize, so typos fail loudly instead of
+// Argument ranges. SNRs are bounded so every stage's noise variance (and so
+// every corrupted sample) stays finite; counts are bounded so they convert
+// to int exactly.
+const (
+	maxAbsDB = 300
+	maxCount = 1 << 31
+)
+
+// args validates a stage's argument map: the typed getters consume known
+// keys and range-check their values, and err reports the first bad value or
+// any key the stage did not recognize, so typos fail loudly instead of
 // silently selecting defaults.
 type args struct {
 	stage string
 	m     map[string]float64
 	used  []string
+	bad   error
 }
 
 func (a *args) get(key string, def float64) float64 {
 	a.used = append(a.used, key)
-	if v, ok := a.m[key]; ok {
-		return v
+	v, ok := a.m[key]
+	if !ok {
+		return def
 	}
-	return def
+	if !mathx.IsFinite(v) {
+		a.fail(fmt.Errorf("impair: stage %q argument %s=%g is not finite", a.stage, key, v))
+	}
+	return v
+}
+
+// db reads an SNR in dB.
+func (a *args) db(key string, def float64) float64 {
+	v := a.get(key, def)
+	if !(v >= -maxAbsDB && v <= maxAbsDB) {
+		a.fail(fmt.Errorf("impair: stage %q argument %s=%g dB out of [-%d,%d]", a.stage, key, v, maxAbsDB, maxAbsDB))
+	}
+	return v
+}
+
+// prob reads a probability.
+func (a *args) prob(key string, def float64) float64 {
+	v := a.get(key, def)
+	if !(v >= 0 && v <= 1) {
+		a.fail(fmt.Errorf("impair: stage %q argument %s=%g out of [0,1]", a.stage, key, v))
+	}
+	return v
+}
+
+// count reads a symbol count of at least min, truncating any fraction.
+func (a *args) count(key string, def float64, min int) int {
+	v := a.get(key, def)
+	if !(v >= float64(min) && v <= maxCount) {
+		a.fail(fmt.Errorf("impair: stage %q argument %s=%g out of [%d,%d]", a.stage, key, v, min, maxCount))
+		return min
+	}
+	return int(v)
+}
+
+// traced returns the trace-noise stage over tr, or records the trace
+// constructor's error.
+func (a *args) traced(name string, seed uint64, tr fading.Trace, err error) channel.Channel {
+	if err != nil {
+		a.fail(err)
+		return nil
+	}
+	return traceNoise(name, seed, tr)
+}
+
+func (a *args) fail(err error) {
+	if a.bad == nil {
+		a.bad = err
+	}
 }
 
 func (a *args) err() error {
+	if a.bad != nil {
+		return a.bad
+	}
 	for k := range a.m {
 		known := false
 		for _, u := range a.used {

@@ -5,7 +5,9 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"spinal/internal/fading"
 	"spinal/internal/link"
+	"spinal/internal/mathx"
 )
 
 // stackSpec is a representative three-stage stack exercising trace gating,
@@ -169,9 +171,27 @@ func TestSpecErrors(t *testing.T) {
 		"ge(dgood=0)",
 		"doppler(fd=0.9)",
 		"AWGN",
+		// NaN, infinities and out-of-range values, in either form.
+		"awgn(snr=nan)",
+		"awgn(snr=inf)",
+		"awgn(snr=-inf)",
+		"awgn(snr=-1e6)",
+		"ge(good=nan)",
+		"rayleigh(avg=1e9)",
+		"walk(step=nan)",
+		"ramp(over=nan)",
+		"ramp(over=1e300)",
+		"step(at=-1)",
+		"spike(prob=nan)",
+		"spike(dwell=nan)",
+		"spike(db=-1e4)",
+		"erase(p=nan)",
+		"erase(block=inf)",
+		`{"stages":[{"stage":"awgn","args":{"snr":-1e6}}]}`,
+		`{"stages":[{"stage":"erase","args":{"p":1.5}}]}`,
 	}
 	for _, s := range bad {
-		spec, err := Parse(s)
+		spec, err := ParseAny(s)
 		if err != nil {
 			continue
 		}
@@ -268,10 +288,64 @@ func TestParseFaultProfile(t *testing.T) {
 		t.Fatalf("empty profile not clean: %+v", clean)
 	}
 
-	for _, bad := range []string{"drop=2", "nope=1", "stall=64", "ge=1:2", "depth=x", "drop"} {
+	for _, bad := range []string{
+		"drop=2", "nope=1", "stall=64", "ge=1:2", "depth=x", "drop",
+		// Both forms pass the same range check.
+		"drop=nan", "dup=inf", "ge=nan:0.1:0:1", "stall=-4:2", "bits=-1",
+		`{"drop":5}`, `{"depth":-3}`, `{"err":-0.1}`, `{"stall_every":8,"stall_frames":-1}`,
+		`{"ge":{"good2bad":0.1,"bad2good":2,"goodloss":0,"badloss":1}}`,
+	} {
 		if _, err := ParseFaultProfile(bad); err == nil {
 			t.Fatalf("ParseFaultProfile(%q) succeeded", bad)
 		}
+	}
+}
+
+// TestTraceNoiseTracksTrace: over a good/bad trace, the noise power
+// measured on symbols sent in each state differs by roughly the SNR gap, and
+// block calls of any size consume the trace one symbol at a time.
+func TestTraceNoiseTracksTrace(t *testing.T) {
+	g, err := fading.NewGilbertElliott(25, 5, 500, 500, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := NewTraceNoise(g, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch.Name() != g.Name() {
+		t.Errorf("trace noise named %q, want the trace's name %q", ch.Name(), g.Name())
+	}
+	const n = 100000
+	rx := make([]complex128, n)
+	for off, size := 0, 1; off < n; off, size = off+size, size%97+1 {
+		end := min(off+size, n)
+		ch.CorruptBlock(rx[off:end], rx[off:end])
+	}
+	var goodPower, badPower float64
+	var goodN, badN int
+	for i, y := range rx {
+		p := real(y)*real(y) + imag(y)*imag(y)
+		if g.SNRdB(i) == 25 {
+			goodPower += p
+			goodN++
+		} else {
+			badPower += p
+			badN++
+		}
+	}
+	if goodN == 0 || badN == 0 {
+		t.Fatal("trace did not visit both states")
+	}
+	ratio := (badPower / float64(badN)) / (goodPower / float64(goodN))
+	if ratio < 50 || ratio > 200 {
+		t.Fatalf("noise power ratio between bad and good states = %v, want about 100", ratio)
+	}
+	if got, want := ch.NoiseVariance(), 1/mathx.DBToLinear(g.SNRdB(n)); got != want {
+		t.Fatalf("NoiseVariance after %d symbols = %v, want the trace's next-symbol %v", n, got, want)
+	}
+	if _, err := NewTraceNoise(nil, 1); err == nil {
+		t.Error("nil trace accepted")
 	}
 }
 
@@ -297,10 +371,26 @@ func FuzzParseSpec(f *testing.F) {
 			t.Fatalf("canonical form not stable: %q vs %q", s2.String(), canon)
 		}
 		// Building may fail (argument validation), but must not panic; a
-		// successful build must survive corrupting a block.
-		if p, err := s.Build(3); err == nil {
-			buf := make([]complex128, 32)
+		// successful build must emit finite samples and report a finite
+		// noise variance throughout.
+		p, err := s.Build(3)
+		if err != nil {
+			return
+		}
+		buf := testInput(64)
+		for round := 0; round < 4; round++ {
+			if v := p.NoiseVariance(); !mathx.IsFinite(v) || v < 0 {
+				t.Fatalf("spec %q: noise variance %v before block %d", in, v, round)
+			}
 			p.CorruptBlock(buf, buf)
+			for i, y := range buf {
+				if !mathx.IsFinite(real(y)) || !mathx.IsFinite(imag(y)) {
+					t.Fatalf("spec %q: sample %d of block %d is %v", in, i, round, y)
+				}
+			}
+		}
+		if v := p.NoiseVariance(); !mathx.IsFinite(v) || v < 0 {
+			t.Fatalf("spec %q: noise variance %v after corrupting", in, v)
 		}
 	})
 }
@@ -316,6 +406,18 @@ func FuzzParseFaultProfile(f *testing.F) {
 		p, err := ParseFaultProfile(in)
 		if err != nil {
 			return
+		}
+		probs := []float64{p.DropProb, p.DupProb, p.ReorderProb, p.CorruptProb, p.ErrProb}
+		if p.GE != nil {
+			probs = append(probs, p.GE.GoodToBad, p.GE.BadToGood, p.GE.GoodLoss, p.GE.BadLoss)
+		}
+		for _, v := range probs {
+			if !(v >= 0 && v <= 1) {
+				t.Fatalf("profile %q accepted with probability %v: %+v", in, v, p)
+			}
+		}
+		if p.ReorderDepth < 0 || p.CorruptBits < 0 || p.StallEvery < 0 || p.StallFrames < 0 {
+			t.Fatalf("profile %q accepted with a negative count: %+v", in, p)
 		}
 		a, b, err := link.NewPipePair(0, 1)
 		if err != nil {

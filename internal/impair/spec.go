@@ -7,7 +7,9 @@ import (
 	"strconv"
 	"strings"
 
+	"spinal/internal/channel"
 	"spinal/internal/link"
+	"spinal/internal/mathx"
 )
 
 // This file is the declarative form of the pipeline: a compact flag-parsable
@@ -68,6 +70,9 @@ func Parse(s string) (*Spec, error) {
 					f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
 					if err != nil {
 						return nil, fmt.Errorf("impair: argument %q of stage %q: %v", key, st.Stage, err)
+					}
+					if !mathx.IsFinite(f) {
+						return nil, fmt.Errorf("impair: argument %q of stage %q is not a finite number", key, st.Stage)
 					}
 					if _, dup := st.Args[key]; dup {
 						return nil, fmt.Errorf("impair: duplicate argument %q of stage %q", key, st.Stage)
@@ -153,7 +158,7 @@ func (s *Spec) String() string {
 // wherever the pipeline runs; a stage keeps its schedule when the stages
 // around it are added or removed.
 func (s *Spec) Build(seed uint64) (*Pipeline, error) {
-	stages := make([]Stage, len(s.Stages))
+	stages := make([]channel.Channel, len(s.Stages))
 	occ := map[string]int{}
 	for i, sp := range s.Stages {
 		st, err := buildStage(sp, stageSeed(seed, occ[sp.Stage], sp.Stage))
@@ -180,74 +185,71 @@ func (s *Spec) Single(i int) *Spec {
 //
 // (stall is every:frames; ge is good2bad:bad2good:goodloss:badloss) or, when
 // the input starts with '{', the JSON form of link.FaultProfile. The empty
-// string is the clean profile.
+// string is the clean profile. Both forms pass the same range check: every
+// probability in [0,1], every count non-negative.
 func ParseFaultProfile(s string) (link.FaultProfile, error) {
 	var p link.FaultProfile
 	trimmed := strings.TrimSpace(s)
-	if trimmed == "" {
-		return p, nil
-	}
 	if strings.HasPrefix(trimmed, "{") {
 		if err := json.Unmarshal([]byte(trimmed), &p); err != nil {
 			return p, fmt.Errorf("impair: fault profile: %v", err)
 		}
-		return p, nil
+	} else if trimmed != "" {
+		if err := parseFaultKnobs(trimmed, &p); err != nil {
+			return p, err
+		}
 	}
-	for _, kv := range strings.Split(trimmed, ",") {
+	return p, validateFaultProfile(p)
+}
+
+// parseFaultKnobs parses the key=value form into p.
+func parseFaultKnobs(s string, p *link.FaultProfile) error {
+	probs := map[string]*float64{
+		"drop": &p.DropProb, "dup": &p.DupProb, "reorder": &p.ReorderProb,
+		"corrupt": &p.CorruptProb, "err": &p.ErrProb,
+	}
+	counts := map[string]*int{"depth": &p.ReorderDepth, "bits": &p.CorruptBits}
+	for _, kv := range strings.Split(s, ",") {
 		key, val, ok := strings.Cut(kv, "=")
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		if !ok || key == "" {
-			return p, fmt.Errorf("impair: fault knob %q is not key=value", kv)
+			return fmt.Errorf("impair: fault knob %q is not key=value", kv)
+		}
+		var err error
+		if dst, ok := probs[key]; ok {
+			if *dst, err = strconv.ParseFloat(val, 64); err != nil {
+				return fmt.Errorf("impair: fault knob %s=%q is not a probability", key, val)
+			}
+			continue
+		}
+		if dst, ok := counts[key]; ok {
+			if *dst, err = strconv.Atoi(val); err != nil {
+				return fmt.Errorf("impair: fault knob %s=%q is not a count", key, val)
+			}
+			continue
 		}
 		switch key {
-		case "drop", "dup", "reorder", "corrupt", "err":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
-				return p, fmt.Errorf("impair: fault knob %s=%q is not a probability", key, val)
-			}
-			switch key {
-			case "drop":
-				p.DropProb = f
-			case "dup":
-				p.DupProb = f
-			case "reorder":
-				p.ReorderProb = f
-			case "corrupt":
-				p.CorruptProb = f
-			case "err":
-				p.ErrProb = f
-			}
-		case "depth", "bits":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				return p, fmt.Errorf("impair: fault knob %s=%q is not a count", key, val)
-			}
-			if key == "depth" {
-				p.ReorderDepth = n
-			} else {
-				p.CorruptBits = n
-			}
 		case "stall":
 			every, frames, ok := strings.Cut(val, ":")
 			if !ok {
-				return p, fmt.Errorf("impair: stall=%q is not every:frames", val)
+				return fmt.Errorf("impair: stall=%q is not every:frames", val)
 			}
 			e, err1 := strconv.Atoi(strings.TrimSpace(every))
 			f, err2 := strconv.Atoi(strings.TrimSpace(frames))
-			if err1 != nil || err2 != nil || e < 0 || f < 0 {
-				return p, fmt.Errorf("impair: stall=%q is not every:frames", val)
+			if err1 != nil || err2 != nil {
+				return fmt.Errorf("impair: stall=%q is not every:frames", val)
 			}
 			p.StallEvery, p.StallFrames = e, f
 		case "ge":
 			fields := strings.Split(val, ":")
 			if len(fields) != 4 {
-				return p, fmt.Errorf("impair: ge=%q is not good2bad:bad2good:goodloss:badloss", val)
+				return fmt.Errorf("impair: ge=%q is not good2bad:bad2good:goodloss:badloss", val)
 			}
 			var vals [4]float64
 			for i, f := range fields {
 				v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-				if err != nil || v < 0 || v > 1 {
-					return p, fmt.Errorf("impair: ge=%q is not four probabilities", val)
+				if err != nil {
+					return fmt.Errorf("impair: ge=%q is not four probabilities", val)
 				}
 				vals[i] = v
 			}
@@ -256,8 +258,43 @@ func ParseFaultProfile(s string) (link.FaultProfile, error) {
 				GoodLoss: vals[2], BadLoss: vals[3],
 			}
 		default:
-			return p, fmt.Errorf("impair: unknown fault knob %q", key)
+			return fmt.Errorf("impair: unknown fault knob %q", key)
 		}
 	}
-	return p, nil
+	return nil
+}
+
+// validateFaultProfile range-checks a parsed profile, whichever form it came
+// from.
+func validateFaultProfile(p link.FaultProfile) error {
+	type prob struct {
+		name string
+		v    float64
+	}
+	probs := []prob{
+		{"drop", p.DropProb}, {"dup", p.DupProb}, {"reorder", p.ReorderProb},
+		{"corrupt", p.CorruptProb}, {"err", p.ErrProb},
+	}
+	if ge := p.GE; ge != nil {
+		probs = append(probs, prob{"ge good2bad", ge.GoodToBad}, prob{"ge bad2good", ge.BadToGood},
+			prob{"ge goodloss", ge.GoodLoss}, prob{"ge badloss", ge.BadLoss})
+	}
+	for _, pr := range probs {
+		if !(pr.v >= 0 && pr.v <= 1) {
+			return fmt.Errorf("impair: fault knob %s=%g is not a probability", pr.name, pr.v)
+		}
+	}
+	counts := []struct {
+		name string
+		n    int
+	}{
+		{"depth", p.ReorderDepth}, {"bits", p.CorruptBits},
+		{"stall every", p.StallEvery}, {"stall frames", p.StallFrames},
+	}
+	for _, c := range counts {
+		if c.n < 0 {
+			return fmt.Errorf("impair: fault knob %s=%d is not a count", c.name, c.n)
+		}
+	}
+	return nil
 }

@@ -243,7 +243,7 @@ func TestDecoderCorrectsNoise(t *testing.T) {
 		}
 		rx := make([]complex128, len(syms))
 		ch.CorruptBlock(rx, syms)
-		llr := mod.Demodulate(rx, ch.Sigma2())
+		llr := mod.Demodulate(rx, ch.NoiseVariance())
 		res, err := dec.Decode(llr)
 		if err != nil {
 			t.Fatal(err)
@@ -278,7 +278,7 @@ func TestDecoderFailsFarBelowThreshold(t *testing.T) {
 		cw, _ := c.Encode(info)
 		syms, _ := mod.Modulate(cw)
 		ch.CorruptBlock(syms, syms)
-		llr := mod.Demodulate(syms, ch.Sigma2())
+		llr := mod.Demodulate(syms, ch.NoiseVariance())
 		res, _ := dec.Decode(llr)
 		correct := res.Converged
 		if correct {
@@ -318,7 +318,7 @@ func TestDecoderHigherOrderModulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		ch.CorruptBlock(syms, syms)
-		llr := mod.Demodulate(syms, ch.Sigma2())
+		llr := mod.Demodulate(syms, ch.NoiseVariance())
 		res, _ := dec.Decode(llr)
 		if !res.Converged {
 			t.Fatalf("trial %d: QAM-16 rate-3/4 frame failed at 18 dB", trial)
@@ -359,7 +359,7 @@ func BenchmarkDecodeRate12BPSK(b *testing.B) {
 	cw, _ := c.Encode(info)
 	syms, _ := mod.Modulate(cw)
 	ch.CorruptBlock(syms, syms)
-	llr := mod.Demodulate(syms, ch.Sigma2())
+	llr := mod.Demodulate(syms, ch.NoiseVariance())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := dec.Decode(llr); err != nil {

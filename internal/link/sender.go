@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"spinal/internal/channel"
 	"spinal/internal/core"
 	"spinal/internal/crc"
 	"spinal/internal/rng"
@@ -625,12 +626,12 @@ func (s *Sender) waitForAck(report *SendReport, msgID uint32, wait time.Duration
 
 // EncodeFrames builds the complete v1 frame sequence a sender with this
 // configuration would emit for one payload over `passes` encoding passes,
-// without transmitting anything. A non-nil corrupt function is applied to
-// every symbol before it is marshalled, so experiments can bake a
-// deterministic channel into the frame bytes. It exists for benchmarks and
-// replay-style experiments that want to drive a receiver with deterministic
-// frames.
-func EncodeFrames(cfg Config, flow, msg uint32, payload []byte, symbolsPerFrame, passes int, corrupt func(complex128) complex128) ([][]byte, error) {
+// without transmitting anything. A non-nil channel corrupts every frame's
+// symbols, in stream order, before they are marshalled, so experiments can
+// bake a deterministic channel into the frame bytes. It exists for
+// benchmarks and replay-style experiments that want to drive a receiver with
+// deterministic frames.
+func EncodeFrames(cfg Config, flow, msg uint32, payload []byte, symbolsPerFrame, passes int, ch channel.BlockChannel) ([][]byte, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -673,12 +674,11 @@ func EncodeFrames(cfg Config, flow, msg uint32, payload []byte, symbolsPerFrame,
 			StartIndex:  uint32(next),
 			Symbols:     make([]complex128, count),
 		}
-		for i := 0; i < count; i++ {
-			y := enc.SymbolAt(sched.Pos(next + i))
-			if corrupt != nil {
-				y = corrupt(y)
-			}
-			frame.Symbols[i] = y
+		for i := range frame.Symbols {
+			frame.Symbols[i] = enc.SymbolAt(sched.Pos(next + i))
+		}
+		if ch != nil {
+			ch.CorruptBlock(frame.Symbols, frame.Symbols)
 		}
 		buf, err := frame.Marshal()
 		if err != nil {

@@ -98,6 +98,9 @@ func LinearToDB(lin float64) float64 {
 	return 10 * math.Log10(lin)
 }
 
+// IsFinite reports whether x is neither NaN nor infinite.
+func IsFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // Clamp limits x to the interval [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	switch {

@@ -142,7 +142,7 @@ func TestDemodulateUnderModerateNoise(t *testing.T) {
 		syms, _ := m.Modulate(bits)
 		rx := make([]complex128, len(syms))
 		ch.CorruptBlock(rx, syms)
-		llr := m.Demodulate(rx, ch.Sigma2())
+		llr := m.Demodulate(rx, ch.NoiseVariance())
 		errs := 0
 		for i := range bits {
 			hard := byte(0)
